@@ -43,84 +43,6 @@ func TestNegativeCheckpointEveryRejected(t *testing.T) {
 	}
 }
 
-// TestConfigDigestMatchesCheckpointBinding pins the service cache-key
-// contract for all three sweep flavours: ConfigDigest computes, without
-// running anything, exactly the digest the checkpoint layer stamps into the
-// file — so a result cache keyed on ConfigDigest is coherent with resume.
-func TestConfigDigestMatchesCheckpointBinding(t *testing.T) {
-	t.Run("runsweep", func(t *testing.T) {
-		cfg := resumeTestConfig()
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := RunSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
-	t.Run("tracesweep", func(t *testing.T) {
-		cfg := TraceSweepConfig{
-			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-			Heuristics: []string{"emct", "mct*"},
-			Scenarios:  1,
-			Trials:     1,
-			TraceLen:   100,
-			Style:      TraceWeibull,
-			Seed:       9,
-		}
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "trace.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := TraceSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
-	t.Run("comparesweep", func(t *testing.T) {
-		cfg := CompareConfig{
-			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-			Heuristics: []string{"emct", "mct*"},
-			Scenarios:  1,
-			Trials:     1,
-			Seed:       9,
-		}
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "cmp.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := CompareSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
-}
-
 // TestReadCheckpointPartialIsBitExact pins the partial-aggregate contract:
 // a checkpoint written at completion restores to a SweepResult that formats
 // (and therefore digests) identically to the result the sweep returned, and
