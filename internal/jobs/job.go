@@ -32,7 +32,7 @@ type Job struct {
 	submittedAt  time.Time
 }
 
-func newJob(exp string, built *sweepreq.Built) *Job {
+func newJob(exp string, built *sweepreq.Built, submittedAt time.Time) *Job {
 	j := &Job{
 		Digest:      built.Digest,
 		Exp:         exp,
@@ -40,7 +40,7 @@ func newJob(exp string, built *sweepreq.Built) *Job {
 		state:       StateQueued,
 		stop:        make(chan struct{}),
 		total:       built.Instances,
-		submittedAt: time.Now().UTC(),
+		submittedAt: submittedAt.UTC(),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -179,9 +179,15 @@ func (j *Job) hasSubscribers() bool {
 // Subscribe replays the job's event log from the start and then follows it
 // live; the channel closes after the terminal event (or on cancel). Safe to
 // call at any point in the job's life, including after completion. While a
-// subscriber is attached the job is pinned against results-TTL eviction.
+// subscriber is attached the job is pinned against results-TTL eviction:
+// the pin holds until the consumer has received every event and the close,
+// or has called cancel.
 func (j *Job) Subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, 16)
+	// Unbuffered on purpose: every send completes only once the consumer
+	// has received the event, so the pump still holds the pin while any
+	// event is undelivered. A buffered channel would let the pump park a
+	// short replay in the buffer and unpin before the consumer read a byte.
+	ch := make(chan Event)
 	cancelCh := make(chan struct{})
 	var cancelOnce sync.Once
 	cancel := func() {
@@ -197,8 +203,9 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.subs++
 	j.mu.Unlock()
 	go func() {
-		// Deferred LIFO: the subscriber count drops before the channel
-		// closes, so a drained-to-close stream implies the pin is released.
+		// Deferred LIFO: the subscriber count drops after the consumer took
+		// the last event and before the channel closes, so a drained-to-close
+		// stream implies the pin is released.
 		defer close(ch)
 		defer func() {
 			j.mu.Lock()

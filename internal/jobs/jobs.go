@@ -116,8 +116,9 @@ type Options struct {
 	// timer, and never touches a job with a live subscriber — a stream
 	// replaying a done job keeps its result serveable until it detaches.
 	ResultsTTL time.Duration
-	// Now injects the eviction clock; nil means time.Now. Tests drive
-	// eviction with a fake clock through this.
+	// Now is the scheduler's clock: it stamps submission and completion
+	// times and drives eviction; nil means time.Now. Tests drive eviction
+	// with a fake clock through this.
 	Now func() time.Time
 }
 
@@ -336,7 +337,7 @@ func (s *Scheduler) Submit(req sweepreq.Request) (*Job, bool, error) {
 		return j, true, nil
 	}
 
-	j := newJob(built.Exp, built)
+	j := newJob(built.Exp, built, s.opts.Now())
 	s.jobs[built.Digest] = j
 	if cached, err := s.loadResult(built.Digest); err == nil && cached.ConfigDigest == built.Digest {
 		j.completeFromCache(cached)
@@ -481,7 +482,7 @@ func (s *Scheduler) run(j *Job) {
 			Overall:         res.Overall,
 			Format:          res.Format(),
 			Warnings:        res.Warnings,
-			CompletedAt:     time.Now().UTC(),
+			CompletedAt:     s.opts.Now().UTC(),
 		}
 		if werr := s.storeResult(cached); werr != nil {
 			j.finish(StateFailed, Event{Type: "failed", Error: werr.Error()})

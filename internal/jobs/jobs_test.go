@@ -315,10 +315,10 @@ func TestResultsTTLEviction(t *testing.T) {
 		t.Fatalf("fresh result evicted (%d)", n)
 	}
 
-	// Age the result past the TTL. CompletedAt is wall-clock, so move the
-	// fake clock relative to the real completion time.
+	// Age the result past the TTL. CompletedAt is stamped by the same
+	// fake clock, so advance it.
 	mu.Lock()
-	now = time.Now().Add(2 * time.Hour)
+	now = now.Add(2 * time.Hour)
 	mu.Unlock()
 
 	ch, _ := j.Subscribe()
