@@ -157,6 +157,27 @@ func restoreSnapshot(s *checkpoint.Snapshot) (overall *stats.Aggregator,
 	return overall, byWmin, byCell, nil
 }
 
+// resultOf renders committed aggregates as a SweepResult: the shape both a
+// finished sweep and a checkpoint's partial view return.
+func resultOf(overall *stats.Aggregator, byWmin map[int]*stats.Aggregator, byCell map[Cell]*stats.Aggregator,
+	censored, failed int) *SweepResult {
+	res := &SweepResult{
+		Instances:       overall.Instances(),
+		Overall:         overall.Rows(),
+		ByWmin:          make(map[int][]TableRow, len(byWmin)),
+		ByCell:          make(map[Cell][]TableRow, len(byCell)),
+		Censored:        censored,
+		FailedInstances: failed,
+	}
+	for wmin, agg := range byWmin {
+		res.ByWmin[wmin] = agg.Rows()
+	}
+	for cell, agg := range byCell {
+		res.ByCell[cell] = agg.Rows()
+	}
+	return res
+}
+
 // Format renders every field of the sweep's numeric output deterministically
 // and at full float precision: heuristic rows overall, per wmin (ascending)
 // and per cell (ordered by Tasks, Ncom, Wmin). Two sweeps produce equal

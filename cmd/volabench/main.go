@@ -410,9 +410,9 @@ func runEMCTGain(mode volatile.Mode, scenarios, trials int, seed uint64, noRepli
 		for s := 0; s < scenarios; s++ {
 			scn := volatile.NewScenario(seed+uint64(ci*1000+s), cell, opt)
 			for tr := 0; tr < trials; tr++ {
-				a, err := scn.RunMode("emct", uint64(tr), mode)
+				a, err := scn.RunWith(volatile.RunSpec{Heuristic: "emct", TrialSeed: uint64(tr), Mode: mode})
 				fatalIf(err)
-				b, err := scn.RunMode("mct", uint64(tr), mode)
+				b, err := scn.RunWith(volatile.RunSpec{Heuristic: "mct", TrialSeed: uint64(tr), Mode: mode})
 				fatalIf(err)
 				if a.Completed && b.Completed {
 					emct = append(emct, float64(a.Makespan))

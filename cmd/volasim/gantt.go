@@ -76,8 +76,9 @@ func ganttRun(scn *volatile.Scenario, heuristic string, trialSeed uint64, horizo
 	}
 
 	events := make([]volatile.Event, 0, 1024)
-	res2, err := scn.RunTraceWithEvents(heuristic, trialSeed, specs, func(ev volatile.Event) {
-		events = append(events, ev)
+	res2, err := scn.RunWith(volatile.RunSpec{
+		Heuristic: heuristic, TrialSeed: trialSeed, Vectors: specs,
+		OnEvent: func(ev volatile.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		return err

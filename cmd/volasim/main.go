@@ -73,7 +73,7 @@ func main() {
 				fmt.Println()
 			}
 		}
-		res, err := scn.RunWithHooks(*heuristic, ts, nil, onEvent)
+		res, err := scn.RunWith(volatile.RunSpec{Heuristic: *heuristic, TrialSeed: ts, OnEvent: onEvent})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "volasim:", err)
 			os.Exit(1)

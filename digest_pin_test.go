@@ -73,8 +73,8 @@ var pinnedDigests = []struct {
 
 // batchPinConfig is the BatchSweep entry of the pin table, which has no
 // sweepreq experiment.
-func batchPinConfig() volatile.CompareConfig {
-	return volatile.CompareConfig{
+func batchPinConfig() volatile.SweepConfig {
+	return volatile.SweepConfig{
 		Cells:     []volatile.Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 8, Ncom: 4, Wmin: 2}},
 		Scenarios: 2,
 		Trials:    2,
@@ -123,9 +123,9 @@ func TestConfigDigestMatchesCheckpointBinding(t *testing.T) {
 		checkBinding(t, path, want)
 	})
 	t.Run("tracesweep", func(t *testing.T) {
-		cfg := volatile.TraceSweepConfig{
-			Cells: cells, Heuristics: heuristics, Scenarios: 1, Trials: 1,
-			TraceLen: 100, Style: volatile.TraceWeibull, Seed: 9,
+		cfg := volatile.SweepConfig{
+			Cells: cells, Heuristics: heuristics, Scenarios: 1, Trials: 1, Seed: 9,
+			Source: volatile.TraceSource{TraceLen: 100, Style: volatile.TraceWeibull},
 		}
 		want, err := cfg.ConfigDigest()
 		if err != nil {
@@ -133,20 +133,23 @@ func TestConfigDigestMatchesCheckpointBinding(t *testing.T) {
 		}
 		path := filepath.Join(t.TempDir(), "trace.ckpt")
 		cfg.Checkpoint = &volatile.CheckpointConfig{Path: path}
-		if _, err := volatile.TraceSweep(cfg); err != nil {
+		if _, err := volatile.RunSweep(cfg); err != nil {
 			t.Fatal(err)
 		}
 		checkBinding(t, path, want)
 	})
 	t.Run("comparesweep", func(t *testing.T) {
-		cfg := volatile.CompareConfig{Cells: cells, Heuristics: heuristics, Scenarios: 1, Trials: 1, Seed: 9}
+		cfg := volatile.SweepConfig{
+			Cells: cells, Heuristics: heuristics, Scenarios: 1, Trials: 1, Seed: 9,
+			Source: volatile.CompareSource{},
+		}
 		want, err := cfg.ConfigDigest()
 		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "cmp.ckpt")
 		cfg.Checkpoint = &volatile.CheckpointConfig{Path: path}
-		if _, err := volatile.CompareSweep(cfg); err != nil {
+		if _, err := volatile.RunSweep(cfg); err != nil {
 			t.Fatal(err)
 		}
 		checkBinding(t, path, want)

@@ -116,13 +116,12 @@ func TestCrossModeSweepEquivalence(t *testing.T) {
 // aggregates in both modes — every makespan, dfb and win equal.
 func TestTraceSweepCrossModeBitIdentical(t *testing.T) {
 	mk := func(mode Mode) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "emct*", "mct*", "lw", "ud*"},
 			Scenarios:  2,
 			Trials:     2,
-			TraceLen:   150,
-			Style:      TraceWeibull,
+			Source:     TraceSource{TraceLen: 150, Style: TraceWeibull},
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Mode:       mode,
 			Seed:       2026,
@@ -152,21 +151,23 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		strings.Repeat("urd", 25),
 		"dddddddddd" + strings.Repeat("u", 70),
 	}
+	rn := NewRunner() // reused across heuristics
 	for _, h := range []string{"emct*", "mct", "lw*", "ud"} {
-		slot, err := scn.RunTrace(h, 3, vectors)
+		spec := RunSpec{Heuristic: h, TrialSeed: 3, Vectors: vectors}
+		slot, err := scn.RunWith(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		event, err := scn.RunTraceMode(h, 3, vectors, ModeEvent)
+		spec.Mode = ModeEvent
+		event, err := scn.RunWith(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slot.Makespan != event.Makespan || slot.Stats != event.Stats {
 			t.Errorf("%s: slot %+v, event %+v", h, slot, event)
 		}
-		rn := NewRunner()
-		rn.SetMode(ModeEvent)
-		pooled, err := scn.RunTraceWith(rn, h, 3, vectors)
+		spec.Runner = rn
+		pooled, err := scn.RunWith(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +178,9 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 }
 
 // TestModePublicSurface pins the re-exported mode API: parsing, the valid
-// name list, and that RunMode/SetMode actually reach the engine (an event
-// run on a model-driven scenario must succeed and stay reproducible).
+// name list, and that RunSpec.Mode actually reaches the engine, pooled or
+// not (an event run on a model-driven scenario must succeed and stay
+// reproducible).
 func TestModePublicSurface(t *testing.T) {
 	if got, err := ParseMode("event"); err != nil || got != ModeEvent {
 		t.Fatalf("ParseMode(event) = %v, %v", got, err)
@@ -190,20 +192,20 @@ func TestModePublicSurface(t *testing.T) {
 		t.Fatalf("ModeNames() = %v", names)
 	}
 	scn := NewScenario(11, Cell{Tasks: 5, Ncom: 5, Wmin: 1}, ScenarioOptions{Processors: 5, Iterations: 2})
-	a, err := scn.RunMode("emct*", 4, ModeEvent)
+	spec := RunSpec{Heuristic: "emct*", TrialSeed: 4, Mode: ModeEvent}
+	a, err := scn.RunWith(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scn.RunMode("emct*", 4, ModeEvent)
+	b, err := scn.RunWith(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Makespan != b.Makespan || a.Stats != b.Stats {
 		t.Fatalf("event runs not reproducible: %+v vs %+v", a, b)
 	}
-	rn := NewRunner()
-	rn.SetMode(ModeEvent)
-	c, err := scn.RunWith(rn, "emct*", 4)
+	spec.Runner = NewRunner()
+	c, err := scn.RunWith(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	// disciplines against a fractional delegation over many instances,
 	// with the per-instance best taken over BOTH families.
 	fmt.Println("\nComparison sweep (3 cells × 4 scenarios × 3 trials):")
-	res, err := volatile.CompareSweep(volatile.CompareConfig{
+	res, err := volatile.RunSweep(volatile.SweepConfig{
 		Cells: []volatile.Cell{
 			{Tasks: 5, Ncom: 5, Wmin: 2},
 			{Tasks: 20, Ncom: 10, Wmin: 3},
@@ -53,6 +53,9 @@ func main() {
 		Scenarios:  4,
 		Trials:     3,
 		Seed:       7,
+		// A CompareSource adds the batch disciplines (both by default) as
+		// contenders on every instance's trajectories.
+		Source: volatile.CompareSource{},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,7 @@ func main() {
 		}
 		used++
 		for _, h := range heuristics {
-			res, err := scn.RunTrace(h, uint64(trial), specs)
+			res, err := scn.RunWith(volatile.RunSpec{Heuristic: h, TrialSeed: uint64(trial), Vectors: specs})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,7 +7,7 @@
 // synthesizes Failure-Trace-Archive-style availability (Weibull, Pareto and
 // log-normal sojourns), fits Markov models to the recorded traces — exactly
 // what a master estimating behaviour from history would do — and replays the
-// heuristics on the traces via the public RunTrace API.
+// heuristics on the traces via RunSpec.Vectors.
 //
 // The qualitative outcome mirrors the paper's expectation: the informed
 // heuristics still beat random selection, but their edge over plain MCT
@@ -52,7 +52,7 @@ func main() {
 				vectors[q] = avail.Record(proc, horizon).String()
 			}
 
-			// The scenario provides speeds and run parameters; RunTrace
+			// The scenario provides speeds and run parameters; Vectors
 			// replaces its availability with the recorded vectors and fits
 			// per-processor Markov models from them.
 			scn := volatile.NewScenario(500+uint64(trial),
@@ -62,7 +62,7 @@ func main() {
 			makespans := map[string]int{}
 			best := 0
 			for _, h := range heuristics {
-				res, err := scn.RunTrace(h, uint64(trial), vectors)
+				res, err := scn.RunWith(volatile.RunSpec{Heuristic: h, TrialSeed: uint64(trial), Vectors: vectors})
 				if err != nil {
 					log.Fatal(err)
 				}

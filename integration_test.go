@@ -57,7 +57,7 @@ func TestOnlineNeverBeatsOfflineBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range heuristics {
-			res, err := scn.RunTrace(h, uint64(trial), specs)
+			res, err := scn.RunWith(RunSpec{Heuristic: h, TrialSeed: uint64(trial), Vectors: specs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +143,11 @@ func TestProactiveClassCompletesAndCancels(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		scn := NewScenario(seed, Cell{Tasks: 3, Ncom: 5, Wmin: 8},
 			ScenarioOptions{Processors: 12, Iterations: 2, MaxReplicas: -1})
-		res, err := scn.RunWithHooks("proactive-emct", 1, nil, func(ev Event) {
+		res, err := scn.RunWith(RunSpec{Heuristic: "proactive-emct", TrialSeed: 1, OnEvent: func(ev Event) {
 			if ev.Kind.String() == "copy-cancelled" {
 				cancelledSeen = true
 			}
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -195,8 +195,7 @@ type RunOpts struct {
 
 // Built is a validated, constructed sweep: its canonical content digest
 // (the result-cache / checkpoint key), the resolved fractional heuristic
-// list, the total instance count, and a Run closure executing it through
-// the matching volatile entry point.
+// list, the total instance count, and a Run closure executing it.
 type Built struct {
 	// Exp echoes the experiment name.
 	Exp string
@@ -215,6 +214,54 @@ type Built struct {
 	Run func(RunOpts) (*volatile.SweepResult, error)
 }
 
+// configs maps every sweep experiment to the constructor of its sweep
+// config from a defaulted, validated request. Mode, workers and the
+// failure policy are set by Build for all of them.
+var configs = map[string]func(r Request) (volatile.SweepConfig, error){
+	"table2": func(r Request) (volatile.SweepConfig, error) {
+		return withProcs(volatile.Table2Config(r.Scenarios, r.Trials, r.Seed), r), nil
+	},
+	"figure2": func(r Request) (volatile.SweepConfig, error) {
+		return withProcs(volatile.Figure2Config(r.Scenarios, r.Trials, r.Seed), r), nil
+	},
+	"table3x5": func(r Request) (volatile.SweepConfig, error) {
+		return withProcs(volatile.Table3Config(5, r.Scenarios, r.Trials, r.Seed), r), nil
+	},
+	"table3x10": func(r Request) (volatile.SweepConfig, error) {
+		return withProcs(volatile.Table3Config(10, r.Scenarios, r.Trials, r.Seed), r), nil
+	},
+	"tracesweep": func(r Request) (volatile.SweepConfig, error) {
+		style, err := ParseTraceStyle(r.TraceStyle)
+		if err != nil {
+			return volatile.SweepConfig{}, err
+		}
+		cfg := withProcs(volatile.Table2Config(r.Scenarios, r.Trials, r.Seed), r)
+		cfg.Source = volatile.TraceSource{TraceLen: r.TraceLen, Style: style, TraceFiles: r.TraceFiles}
+		return cfg, nil
+	},
+	"dfrs": func(r Request) (volatile.SweepConfig, error) {
+		cfg := withProcs(volatile.Table2Config(r.Scenarios, r.Trials, r.Seed), r)
+		cfg.Source = volatile.CompareSource{}
+		return cfg, nil
+	},
+	"largep": func(r Request) (volatile.SweepConfig, error) {
+		p := r.Procs
+		if p == 0 {
+			p = 1000
+		}
+		return volatile.LargePConfig(p, r.Scenarios, r.Trials, r.Seed), nil
+	},
+	"moldable": func(r Request) (volatile.SweepConfig, error) {
+		return withProcs(volatile.MoldableSweepConfig(r.Alloc, r.Scenarios, r.Trials, r.Seed), r), nil
+	},
+}
+
+// withProcs applies the request's platform-size override.
+func withProcs(cfg volatile.SweepConfig, r Request) volatile.SweepConfig {
+	cfg.Options.Processors = r.Procs
+	return cfg
+}
+
 // Build validates the request, applies defaults, constructs the matching
 // sweep config and returns its digest and runner. Non-sweep experiments
 // (ablation, emctgain*) are rejected: they are CLI compositions, not single
@@ -224,7 +271,8 @@ func Build(r Request) (*Built, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	if !IsSweep(r.Exp) {
+	newConfig, ok := configs[r.Exp]
+	if !ok {
 		return nil, fmt.Errorf("experiment %q does not run through the sweep pipeline (sweep experiments: %s)",
 			r.Exp, strings.Join(sweepExperiments, ", "))
 	}
@@ -232,132 +280,29 @@ func Build(r Request) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	switch r.Exp {
-	case "tracesweep":
-		style, err := ParseTraceStyle(r.TraceStyle)
-		if err != nil {
-			return nil, err
-		}
-		cfg := volatile.TraceSweepConfig{
-			Cells:      volatile.PaperGrid(),
-			Scenarios:  r.Scenarios,
-			Trials:     r.Trials,
-			TraceLen:   r.TraceLen,
-			Style:      style,
-			TraceFiles: r.TraceFiles,
-			Options:    volatile.ScenarioOptions{Processors: r.Procs},
-			Mode:       mode,
-			Seed:       r.Seed,
-			Workers:    r.Workers,
-		}
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.TraceSweep(c)
-			},
-		}, nil
-
-	case "dfrs":
-		cfg := volatile.CompareConfig{
-			Cells:     volatile.PaperGrid(),
-			Scenarios: r.Scenarios,
-			Trials:    r.Trials,
-			Options:   volatile.ScenarioOptions{Processors: r.Procs},
-			Mode:      mode,
-			Seed:      r.Seed,
-			Workers:   r.Workers,
-		}
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.CompareSweep(c)
-			},
-		}, nil
-
-	case "moldable":
-		cfg := volatile.MoldableSweepConfig(r.Alloc, r.Scenarios, r.Trials, r.Seed)
-		cfg.Options.Processors = r.Procs
-		cfg.Mode, cfg.Workers = mode, r.Workers
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.MoldableSweep(c)
-			},
-		}, nil
-
-	default:
-		var cfg volatile.SweepConfig
-		switch r.Exp {
-		case "table2":
-			cfg = volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "figure2":
-			cfg = volatile.Figure2Config(r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "table3x5":
-			cfg = volatile.Table3Config(5, r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "table3x10":
-			cfg = volatile.Table3Config(10, r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "largep":
-			p := r.Procs
-			if p == 0 {
-				p = 1000
-			}
-			cfg = volatile.LargePConfig(p, r.Scenarios, r.Trials, r.Seed)
-		}
-		cfg.Mode, cfg.Workers = mode, r.Workers
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		heur := cfg.Heuristics
-		if len(heur) == 0 {
-			heur = volatile.Heuristics()
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: heur,
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.RunSweep(c)
-			},
-		}, nil
+	cfg, err := newConfig(r)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Mode, cfg.Workers = mode, r.Workers
+	cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
+	digest, err := cfg.ConfigDigest()
+	if err != nil {
+		return nil, err
+	}
+	heur := cfg.Heuristics
+	if len(heur) == 0 {
+		heur = volatile.Heuristics()
+	}
+	return &Built{
+		Exp:        r.Exp,
+		Digest:     digest,
+		Heuristics: heur,
+		Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
+		Run: func(o RunOpts) (*volatile.SweepResult, error) {
+			c := cfg
+			c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
+			return volatile.RunSweep(c)
+		},
+	}, nil
 }

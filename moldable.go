@@ -1,164 +1,27 @@
 package volatile
 
-import (
-	"fmt"
-	"time"
+// MoldableConfig is the historical name of a moldable-iterations sweep's
+// config: a SweepConfig whose Alloc names the allocation policy.
+type MoldableConfig = SweepConfig
 
-	"repro/internal/faultinject"
-	"repro/internal/stats"
-)
-
-// MoldableConfig describes a moldable-iterations sweep: the same grid
-// geometry as SweepConfig, plus an allocation-policy spec that decides each
-// iteration's task count at the iteration boundary (see ParseAllocPolicy
-// for the accepted specs). With Alloc "fixed" every run is bit-identical to
-// the rigid model, so the family's aggregates match RunSweep's exactly; the
-// adaptive policies (maximum-iters, split-into, reshape) size iterations
-// from the worker availability each heuristic's own schedule encounters, so
-// their dfb rankings measure heuristic quality under a moldable workload.
-type MoldableConfig struct {
-	// Cells are the (n, ncom, wmin) combinations to cover. A cell's Tasks
-	// value remains the application's natural shape: policies receive it as
-	// Params.M and the first iteration of every run starts from the
-	// policy's decision over it.
-	Cells []Cell
-	// Heuristics are the heuristic names to compare (default: all 17).
-	Heuristics []string
-	// Alloc is the allocation-policy spec ("fixed", "maximum-iters",
-	// "split-into[:parts]", "reshape[:step]"). Empty means "fixed".
-	Alloc string
-	// Scenarios is the number of random scenarios per cell.
-	Scenarios int
-	// Trials is the number of availability draws per scenario.
-	Trials int
-	// Options tunes scenario generation.
-	Options ScenarioOptions
-	// Mode selects the engine time base (default ModeSlot).
-	Mode Mode
-	// Seed makes the whole sweep reproducible.
-	Seed uint64
-	// Workers bounds parallelism (default: GOMAXPROCS). Results are
-	// bit-identical for every worker count.
-	Workers int
-	// Progress, when non-nil, receives (completedInstances, totalInstances);
-	// see SweepConfig.Progress for the delivery contract.
-	Progress func(done, total int)
-	// Checkpoint, when non-nil, makes the sweep crash-safe exactly as in
-	// SweepConfig: resumed runs are bit-identical to uninterrupted ones.
-	Checkpoint *CheckpointConfig
-	// Stop requests a graceful interrupt when closed.
-	Stop <-chan struct{}
-	// MaxRetries bounds per-instance rerun attempts after a failed run.
-	MaxRetries int
-	// RetryBackoff is the wait before the first retry, doubling per attempt.
-	RetryBackoff time.Duration
-	// ContinueOnError drops retry-exhausted instances instead of aborting.
-	ContinueOnError bool
-	// Faults injects deterministic failures for crash-safety tests.
-	Faults *faultinject.Plan
-}
-
-// allocSpec resolves the config's policy spec, defaulting empty to "fixed".
-func (cfg MoldableConfig) allocSpec() string {
-	if cfg.Alloc == "" {
-		return "fixed"
-	}
-	return cfg.Alloc
-}
-
-// ConfigDigest returns the moldable sweep's canonical content address; see
-// SweepConfig.ConfigDigest. The allocation policy's canonical name is part
-// of the digest, so sweeps differing only in policy (or policy parameter)
-// never share checkpoints or cached results.
-func (cfg MoldableConfig) ConfigDigest() (string, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return "", err
-	}
-	pol, err := ParseAllocPolicy(cfg.allocSpec())
-	if err != nil {
-		return "", err
-	}
-	return sweepConfigDigest("moldable", cfg.Cells, heuristics,
-		cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed,
-		"alloc "+pol.Name()), nil
-}
-
-// MoldableSweep executes a moldable-iterations sweep through the sharded,
-// checkpointed pipeline shared with RunSweep: deterministic for a fixed
-// config, bit-identical for every worker count, and resumable from a
-// checkpoint. Each worker holds its own policy instance; stateful policies
-// reset at every run boundary, so pooling them across the worker's runs
-// changes nothing.
+// MoldableSweep runs a moldable-iterations sweep: RunSweep with an empty
+// Alloc defaulted to "fixed". Under "fixed" every run is bit-identical to
+// the rigid model, so the aggregates match RunSweep's exactly; the adaptive
+// policies (maximum-iters, split-into, reshape) size iterations from the
+// worker availability each heuristic's own schedule encounters, so their
+// dfb rankings measure heuristic quality under a moldable workload.
 func MoldableSweep(cfg MoldableConfig) (*SweepResult, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return nil, err
+	if cfg.Alloc == "" {
+		cfg.Alloc = "fixed"
 	}
-	spec := cfg.allocSpec()
-	pol, err := ParseAllocPolicy(spec)
-	if err != nil {
-		return nil, err
-	}
-	return runSharded(shardedSweep{
-		cells:     cfg.Cells,
-		scenarios: cfg.Scenarios,
-		trials:    cfg.Trials,
-		options:   cfg.Options,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-		progress:  cfg.Progress,
-		control: sweepControl{
-			digest: sweepConfigDigest("moldable", cfg.Cells, heuristics,
-				cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed,
-				"alloc "+pol.Name()),
-			checkpoint:      cfg.Checkpoint,
-			stop:            cfg.Stop,
-			faults:          cfg.Faults,
-			maxRetries:      cfg.MaxRetries,
-			retryBackoff:    cfg.RetryBackoff,
-			continueOnError: cfg.ContinueOnError,
-		},
-		newRunner: func() instanceRunner {
-			rn := NewRunner()
-			rn.SetMode(cfg.Mode)
-			// Per-worker policy instance: stateful policies must not be
-			// shared between goroutines. The spec already parsed above, so
-			// a failure here is unreachable; surface it per instance anyway
-			// rather than panicking inside the pool.
-			wpol, perr := ParseAllocPolicy(spec)
-			return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-				if perr != nil {
-					return 0, perr
-				}
-				trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-				nCens := 0
-				for _, h := range heuristics {
-					res, err := scn.RunAllocWith(rn, h, wpol, trialSeed)
-					if err != nil {
-						return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-					}
-					ir.Makespans[h] = res.Makespan
-					if !res.Completed {
-						ir.Censored[h] = true
-						nCens++
-					}
-				}
-				return nCens, nil
-			}
-		},
-	})
+	return RunSweep(cfg)
 }
 
 // MoldableSweepConfig builds a Table 2-shaped moldable sweep: the full
 // Table 1 grid under the given allocation policy, with the given per-cell
 // scenario and trial counts.
 func MoldableSweepConfig(alloc string, scenarios, trials int, seed uint64) MoldableConfig {
-	return MoldableConfig{
-		Cells:     PaperGrid(),
-		Alloc:     alloc,
-		Scenarios: scenarios,
-		Trials:    trials,
-		Seed:      seed,
-	}
+	cfg := Table2Config(scenarios, trials, seed)
+	cfg.Alloc = alloc
+	return cfg
 }

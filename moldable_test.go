@@ -146,8 +146,8 @@ func TestMoldableSweepCrashResume(t *testing.T) {
 
 // TestMoldableConfigDigest pins the content-address contract: the policy
 // (and its parameter) is part of the digest, so two sweeps differing only
-// in policy never share checkpoints or cached results — and the digest of
-// the defaulted spec equals the explicit "fixed" one.
+// in policy never share checkpoints or cached results — and MoldableSweep
+// runs an empty spec as the explicit "fixed" sweep.
 func TestMoldableConfigDigest(t *testing.T) {
 	base := moldableTestConfig()
 	digests := make(map[string]string)
@@ -167,13 +167,19 @@ func TestMoldableConfigDigest(t *testing.T) {
 	}
 	cfg := base
 	cfg.Alloc = ""
-	d, err := cfg.ConfigDigest()
+	path := filepath.Join(t.TempDir(), "defaulted.ckpt")
+	cfg.Checkpoint = &CheckpointConfig{Path: path}
+	if _, err := MoldableSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != digests["fixed"] {
-		t.Errorf("empty alloc digest %s != explicit fixed %s", d, digests["fixed"])
+	if st.ConfigDigest != digests["fixed"] {
+		t.Errorf("empty alloc sweep bound to %s, want explicit fixed %s", st.ConfigDigest, digests["fixed"])
 	}
+	cfg.Checkpoint = nil
 
 	// A moldable digest must also differ from the rigid family's on the
 	// same grid: flavour and policy both feed the hash.

@@ -25,16 +25,14 @@ func TestParentCheckpointsResume(t *testing.T) {
 			return RunSweep(cfg)
 		}, "807b589145b58d454485489d2b79598ac5916482a92eff6f8e25d466fb31e893"},
 		{"tracesweep", func(ck *CheckpointConfig) (*SweepResult, error) {
-			return TraceSweep(TraceSweepConfig{
-				Cells: base.Cells, Heuristics: base.Heuristics, Scenarios: base.Scenarios, Trials: base.Trials,
-				TraceLen: 150, Style: TraceWeibull, Seed: base.Seed, Checkpoint: ck,
-			})
+			cfg := base
+			cfg.Source, cfg.Checkpoint = TraceSource{TraceLen: 150, Style: TraceWeibull}, ck
+			return RunSweep(cfg)
 		}, "c0a4ef9785bdbc7184e1811845c3c6dc85deb54170bab10e4d2f6d1d8cd35775"},
 		{"comparesweep", func(ck *CheckpointConfig) (*SweepResult, error) {
-			return CompareSweep(CompareConfig{
-				Cells: base.Cells, Heuristics: base.Heuristics, Scenarios: base.Scenarios, Trials: base.Trials,
-				Seed: base.Seed, Checkpoint: ck,
-			})
+			cfg := base
+			cfg.Source, cfg.Checkpoint = CompareSource{}, ck
+			return RunSweep(cfg)
 		}, "bc54a39d52abffaf642a3040c6ff5168f5655d3a84eee6e7beec7cfc295627f8"},
 		{"moldable", func(ck *CheckpointConfig) (*SweepResult, error) {
 			cfg := moldableTestConfig()

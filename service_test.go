@@ -18,28 +18,18 @@ func TestNegativeCheckpointEveryRejected(t *testing.T) {
 		t.Fatalf("RunSweep with Every=-3 returned %v, want the negative-cadence error", err)
 	}
 
-	tcfg := TraceSweepConfig{
-		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-		Heuristics: []string{"emct", "mct*"},
-		Scenarios:  1,
-		Trials:     1,
-		TraceLen:   100,
-		Style:      TraceWeibull,
-		Checkpoint: &CheckpointConfig{Path: path, Every: -1},
-	}
-	if _, err := TraceSweep(tcfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
-		t.Fatalf("TraceSweep with Every=-1 returned %v, want the negative-cadence error", err)
-	}
-
-	ccfg := CompareConfig{
-		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-		Heuristics: []string{"emct", "mct*"},
-		Scenarios:  1,
-		Trials:     1,
-		Checkpoint: &CheckpointConfig{Path: path, Every: -1},
-	}
-	if _, err := CompareSweep(ccfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
-		t.Fatalf("CompareSweep with Every=-1 returned %v, want the negative-cadence error", err)
+	for _, src := range []Source{TraceSource{TraceLen: 100, Style: TraceWeibull}, CompareSource{}} {
+		cfg := SweepConfig{
+			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
+			Heuristics: []string{"emct", "mct*"},
+			Scenarios:  1,
+			Trials:     1,
+			Source:     src,
+			Checkpoint: &CheckpointConfig{Path: path, Every: -1},
+		}
+		if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
+			t.Fatalf("%T sweep with Every=-1 returned %v, want the negative-cadence error", src, err)
+		}
 	}
 }
 

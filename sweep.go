@@ -42,6 +42,19 @@ type SweepConfig struct {
 	// sojourn granularity, so sweep aggregates differ from slot mode within
 	// sampling noise; see EXPERIMENTS.md.
 	Mode Mode
+	// Alloc, when non-empty, makes every run moldable under this
+	// allocation-policy spec ("fixed", "maximum-iters", "split-into[:parts]",
+	// "reshape[:step]"; see ParseAllocPolicy): the policy sizes each
+	// iteration at the barrier from the availability the heuristic's own
+	// schedule encounters, and a cell's Tasks value is the application's
+	// natural shape. "fixed" reproduces the rigid results bit for bit but is
+	// a distinct sweep (its own config digest). Batch contenders ignore it.
+	Alloc string
+	// Source says where availability comes from and which contenders run
+	// besides the heuristics: nil draws Markov trajectories, TraceSource
+	// replays synthetic or recorded traces, CompareSource adds batch
+	// disciplines.
+	Source Source
 	// Seed makes the whole sweep reproducible.
 	Seed uint64
 	// Workers bounds parallelism (default: GOMAXPROCS).
@@ -108,53 +121,160 @@ type SweepResult struct {
 // aggregate into per-chunk shards that are merged in a fixed order (see
 // runSharded), so the output is bit-identical to a sequential pass.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	return runSharded(cfg, p)
+}
+
+// Source is where a sweep's availability comes from and which contenders
+// run on it besides the fractional heuristics. The implementations are
+// TraceSource and CompareSource; a nil Source is the Markov source, which
+// draws each trial's trajectories from the scenario's processor models.
+type Source interface {
+	// resolve validates the source for cfg and returns its digest
+	// flavour, its canonical digest extras and its per-instance setup.
+	resolve(cfg *SweepConfig) (*sourcePlan, error)
+}
+
+// sourcePlan is a resolved Source.
+type sourcePlan struct {
+	// flavour and extras feed the canonical config digest. Each family
+	// keeps the strings it had as a separate sweep type, so checkpoints and
+	// cached results from before the types were merged stay valid.
+	flavour string
+	extras  []string
+	// traces returns an instance's replayed availability; nil means the
+	// trajectories are drawn from the scenario's Markov models.
+	traces func(scn *Scenario, cellIdx, scenIdx, trialIdx int) (*traceModels, error)
+	// disciplines are the batch contenders run after the heuristics.
+	disciplines []string
+}
+
+// markovSource is the nil Source. The rigid and moldable sweeps on it keep
+// their historical digest flavours.
+type markovSource struct{}
+
+func (markovSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
+	if cfg.Alloc != "" {
+		return &sourcePlan{flavour: "moldable"}, nil
+	}
+	return &sourcePlan{flavour: "runsweep"}, nil
+}
+
+// sweepPlan is everything a sweep resolves before it runs, shared by
+// RunSweep and ConfigDigest: the heuristic list, the resolved source and
+// the canonical config digest.
+type sweepPlan struct {
+	heuristics []string
+	src        *sourcePlan
+	digest     string
+}
+
+// plan validates the config and resolves it into a sweepPlan.
+func (cfg SweepConfig) plan() (*sweepPlan, error) {
 	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
 	if err != nil {
 		return nil, err
 	}
-	return runSharded(shardedSweep{
-		cells:     cfg.Cells,
-		scenarios: cfg.Scenarios,
-		trials:    cfg.Trials,
-		options:   cfg.Options,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-		progress:  cfg.Progress,
-		control: sweepControl{
-			digest: sweepConfigDigest("runsweep", cfg.Cells, heuristics,
-				cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed),
-			checkpoint:      cfg.Checkpoint,
-			stop:            cfg.Stop,
-			faults:          cfg.Faults,
-			maxRetries:      cfg.MaxRetries,
-			retryBackoff:    cfg.RetryBackoff,
-			continueOnError: cfg.ContinueOnError,
-		},
-		newRunner: func() instanceRunner {
-			rn := NewRunner()
-			rn.SetMode(cfg.Mode)
-			return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-				trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-				nCens := 0
-				for _, h := range heuristics {
-					res, err := scn.RunWith(rn, h, trialSeed)
-					if err != nil {
-						return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-					}
-					ir.Makespans[h] = res.Makespan
-					if !res.Completed {
-						ir.Censored[h] = true
-						nCens++
-					}
-				}
-				return nCens, nil
-			}
-		},
-	})
+	return cfg.planWith(heuristics)
 }
 
-// validateSweepShape checks the grid parameters every sweep flavour
-// shares (RunSweep, TraceSweep, CompareSweep, BatchSweep).
+// planWith resolves the config for an already validated heuristic list
+// (empty for BatchSweep, which runs the batch contenders alone).
+func (cfg SweepConfig) planWith(heuristics []string) (*sweepPlan, error) {
+	src := cfg.Source
+	if src == nil {
+		src = markovSource{}
+	}
+	sp, err := src.resolve(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Alloc != "" {
+		// The policy's canonical name is part of the digest, so sweeps
+		// differing only in policy (or policy parameter) never share
+		// checkpoints or cached results.
+		pol, err := ParseAllocPolicy(cfg.Alloc)
+		if err != nil {
+			return nil, err
+		}
+		sp.extras = append(sp.extras, "alloc "+pol.Name())
+	}
+	return &sweepPlan{
+		heuristics: heuristics,
+		src:        sp,
+		digest: sweepConfigDigest(sp.flavour, cfg.Cells, heuristics,
+			cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, sp.extras...),
+	}, nil
+}
+
+// instanceRunner executes one (cell, scenario, trial) instance, filling ir
+// with every contender's makespan. It returns the instance's censored-run
+// count.
+type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (censoredRuns int, err error)
+
+// newWorker returns one worker goroutine's instance runner, with its own
+// Runner and allocation-policy instance (stateful policies must not be
+// shared between goroutines; they reset at every run boundary, so pooling
+// one across the worker's runs changes nothing). Every contender of an
+// instance — each heuristic, then each batch discipline — faces the world
+// its trial seed denotes.
+func (p *sweepPlan) newWorker(cfg *SweepConfig) instanceRunner {
+	rn := NewRunner()
+	var pol AllocationPolicy
+	var polErr error
+	if cfg.Alloc != "" {
+		// plan parsed the spec already, so this cannot fail; surface it per
+		// instance anyway rather than panicking inside the pool.
+		pol, polErr = ParseAllocPolicy(cfg.Alloc)
+	}
+	return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
+		if polErr != nil {
+			return 0, polErr
+		}
+		var tm *traceModels
+		if p.src.traces != nil {
+			var err error
+			if tm, err = p.src.traces(scn, cellIdx, scenIdx, trialIdx); err != nil {
+				return 0, err
+			}
+		}
+		spec := RunSpec{
+			TrialSeed: deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx)),
+			Mode:      cfg.Mode,
+			Runner:    rn,
+			Alloc:     pol,
+		}
+		nCens := 0
+		record := func(name string, makespan int, completed bool) {
+			ir.Makespans[name] = makespan
+			if !completed {
+				ir.Censored[name] = true
+				nCens++
+			}
+		}
+		for _, h := range p.heuristics {
+			spec.Heuristic = h
+			res, err := scn.run(spec, tm)
+			if err != nil {
+				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
+			}
+			record(h, res.Makespan, res.Completed)
+		}
+		for _, d := range p.src.disciplines {
+			res, err := scn.runBatch(rn, d, spec.TrialSeed)
+			if err != nil {
+				return 0, fmt.Errorf("volatile: %s on %s: %w", d, scn.inner.Name, err)
+			}
+			record(d, res.Makespan, res.Completed)
+		}
+		return nCens, nil
+	}
+}
+
+// validateSweepShape checks the grid parameters every sweep shares.
 func validateSweepShape(cells []Cell, scenarios, trials int) error {
 	if len(cells) == 0 {
 		return fmt.Errorf("volatile: sweep with no cells")
@@ -183,41 +303,6 @@ func sweepHeuristics(cells []Cell, scenarios, trials int, heuristics []string) (
 	return heuristics, nil
 }
 
-// instanceRunner executes one (cell, scenario, trial) instance, filling ir
-// with every heuristic's makespan. It returns the instance's censored-run
-// count. Each worker goroutine gets its own instanceRunner (and thus its own
-// engine and trial scratch) from the factory passed to runSharded.
-type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (censoredRuns int, err error)
-
-// sweepControl carries the durability and failure-policy knobs every sweep
-// flavour shares: the canonical config digest checkpoints are bound to,
-// checkpoint placement, graceful stop, fault injection, and the retry
-// policy. The zero value means "no checkpointing, fail fast" — the
-// pre-durability behaviour.
-type sweepControl struct {
-	digest          string
-	checkpoint      *CheckpointConfig
-	stop            <-chan struct{}
-	faults          *faultinject.Plan
-	maxRetries      int
-	retryBackoff    time.Duration
-	continueOnError bool
-}
-
-// shardedSweep is the input to runSharded: the grid geometry plus a factory
-// for per-worker instance runners.
-type shardedSweep struct {
-	cells     []Cell
-	scenarios int
-	trials    int
-	options   ScenarioOptions
-	seed      uint64
-	workers   int
-	progress  func(done, total int)
-	control   sweepControl
-	newRunner func() instanceRunner
-}
-
 // maxInstanceErrors bounds SweepResult.InstanceErrors; a sweep degrading on
 // every chunk reports a sample of its failures, not all of them.
 const maxInstanceErrors = 4
@@ -226,7 +311,7 @@ const maxInstanceErrors = 4
 // committer.
 const maxChunkErrors = 2
 
-// runSharded is the sweep pipeline shared by RunSweep and TraceSweep.
+// runSharded is the sweep pipeline every sweep runs through.
 //
 // Work is dispatched at chunk granularity, one chunk per (cell, scenario)
 // pair, and every chunk's trials run in order on a single worker. Each
@@ -241,12 +326,11 @@ const maxChunkErrors = 2
 // chunk, so even when one slow chunk stalls the commit cursor the reorder
 // window — and with it sweep memory — stays proportional to the worker
 // count (× chunk size), never to the total instance count.
-func runSharded(sw shardedSweep) (*SweepResult, error) {
-	if err := sw.options.Validate(); err != nil {
+func runSharded(cfg SweepConfig, p *sweepPlan) (*SweepResult, error) {
+	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
 	}
-	ctl := sw.control
-	ck := ctl.checkpoint
+	ck := cfg.Checkpoint
 	every := DefaultCheckpointEvery
 	if ck != nil {
 		if ck.Path == "" {
@@ -261,12 +345,12 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 			every = ck.Every
 		}
 	}
-	workers := sw.workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks := len(sw.cells) * sw.scenarios
-	total := chunks * sw.trials
+	chunks := len(cfg.Cells) * cfg.Scenarios
+	total := chunks * cfg.Trials
 
 	// Resume: restore the committer's aggregates and watermark from the
 	// checkpoint, after binding it to this exact sweep (config digest and
@@ -285,9 +369,9 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 		case err != nil:
 			return nil, err
 		default:
-			if snap.ConfigDigest != ctl.digest {
+			if snap.ConfigDigest != p.digest {
 				return nil, fmt.Errorf("volatile: checkpoint %s was taken for a different sweep config (digest %.12s… != %.12s…)",
-					ck.Path, snap.ConfigDigest, ctl.digest)
+					ck.Path, snap.ConfigDigest, p.digest)
 			}
 			if snap.Chunks != chunks {
 				return nil, fmt.Errorf("volatile: checkpoint %s covers %d chunks, sweep has %d",
@@ -307,9 +391,9 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	// not built.
 	scenarios := make([]*Scenario, chunks)
 	for ci := startChunk; ci < chunks; ci++ {
-		c, s := ci/sw.scenarios, ci%sw.scenarios
-		scnSeed := deriveSeed(sw.seed, uint64(c), uint64(s), 0xA11CE)
-		scenarios[ci] = NewScenario(scnSeed, sw.cells[c], sw.options)
+		c, s := ci/cfg.Scenarios, ci%cfg.Scenarios
+		scnSeed := deriveSeed(cfg.Seed, uint64(c), uint64(s), 0xA11CE)
+		scenarios[ci] = NewScenario(scnSeed, cfg.Cells[c], cfg.Options)
 	}
 
 	type doneChunk struct {
@@ -327,7 +411,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	var done atomic.Int64
-	done.Store(int64(startChunk) * int64(sw.trials))
+	done.Store(int64(startChunk) * int64(cfg.Trials))
 	shardPool := sync.Pool{New: func() any { return stats.NewShardAggregator() }}
 	// window bounds the number of fed-but-uncommitted chunks: the feeder
 	// acquires a permit per chunk, the committer releases it once the chunk
@@ -341,15 +425,15 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := sw.newRunner()
-			sleep := ctl.faults.SleepFn()
+			run := p.newWorker(&cfg)
+			sleep := cfg.Faults.SleepFn()
 			for ci := range jobCh {
 				scn := scenarios[ci]
-				cellIdx, scenIdx := ci/sw.scenarios, ci%sw.scenarios
+				cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
 				shard := shardPool.Get().(*stats.ShardAggregator)
 				chunkFailed := 0
 				var chunkErrs []string
-				for tr := 0; tr < sw.trials; tr++ {
+				for tr := 0; tr < cfg.Trials; tr++ {
 					ir := shard.Acquire()
 					// Retry loop: every attempt re-derives the identical
 					// trial seed inside run, so a recovered transient
@@ -357,15 +441,15 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 					// undisturbed sweep would have.
 					var nCens int
 					var err error
-					backoff := ctl.retryBackoff
+					backoff := cfg.RetryBackoff
 					for attempt := 0; ; attempt++ {
-						if err = ctl.faults.InstanceFault(ci, tr, attempt); err == nil {
+						if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
 							nCens, err = run(scn, cellIdx, scenIdx, tr, ir)
 						}
 						if err == nil {
 							break
 						}
-						if attempt >= ctl.maxRetries {
+						if attempt >= cfg.MaxRetries {
 							break
 						}
 						// A failed attempt may have partially filled the
@@ -378,7 +462,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 						}
 					}
 					if err != nil {
-						if ctl.continueOnError {
+						if cfg.ContinueOnError {
 							// Record-and-continue: drop the instance, keep
 							// the sweep alive. The loss is surfaced via
 							// FailedInstances, and — because the verdict to
@@ -389,8 +473,8 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 							if len(chunkErrs) < maxChunkErrors {
 								chunkErrs = append(chunkErrs, err.Error())
 							}
-							if sw.progress != nil {
-								sw.progress(int(done.Add(1)), total)
+							if cfg.Progress != nil {
+								cfg.Progress(int(done.Add(1)), total)
 							}
 							continue
 						}
@@ -404,8 +488,8 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 						return
 					}
 					shard.Add(ir, nCens)
-					if sw.progress != nil {
-						sw.progress(int(done.Add(1)), total)
+					if cfg.Progress != nil {
+						cfg.Progress(int(done.Add(1)), total)
 					}
 				}
 				commitCh <- doneChunk{idx: ci, shard: shard, failed: chunkFailed, errs: chunkErrs}
@@ -423,13 +507,13 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	ckSeq := 0
 	committerDone := make(chan struct{})
 	persist := func() {
-		if ferr := ctl.faults.CheckpointFault(ckSeq); ferr != nil {
+		if ferr := cfg.Faults.CheckpointFault(ckSeq); ferr != nil {
 			ckSeq++
 			warnings = append(warnings, fmt.Sprintf("checkpoint write %s failed: %v", ck.Path, ferr))
 			return
 		}
 		ckSeq++
-		snap := buildSnapshot(ctl.digest, chunks, next, censored, failed, overall, byWmin, byCell)
+		snap := buildSnapshot(p.digest, chunks, next, censored, failed, overall, byWmin, byCell)
 		if err := checkpoint.Save(ck.Path, snap); err != nil {
 			// A failed checkpoint degrades durability, not correctness: the
 			// sweep carries on and the caller learns via Warnings.
@@ -459,7 +543,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 					break
 				}
 				delete(pending, next)
-				cell := sw.cells[next/sw.scenarios]
+				cell := cfg.Cells[next/cfg.Scenarios]
 				bw := byWmin[cell.Wmin]
 				if bw == nil {
 					bw = stats.NewAggregator()
@@ -483,7 +567,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 				<-window
 				next++
 				sinceCk++
-				if ctl.faults != nil && ctl.faults.CrashAfterChunks > 0 && next == ctl.faults.CrashAfterChunks {
+				if cfg.Faults != nil && cfg.Faults.CrashAfterChunks > 0 && next == cfg.Faults.CrashAfterChunks {
 					// Injected crash at the worst point of the boundary: the
 					// chunk is merged in memory but not yet checkpointed, so
 					// resume must re-run it.
@@ -517,7 +601,7 @@ feed:
 		case window <- struct{}{}:
 		case <-stop:
 			break feed
-		case <-ctl.stop:
+		case <-cfg.Stop:
 			stopped = true
 			break feed
 		}
@@ -525,7 +609,7 @@ feed:
 		case jobCh <- ci:
 		case <-stop:
 			break feed
-		case <-ctl.stop:
+		case <-cfg.Stop:
 			stopped = true
 			break feed
 		}
@@ -553,22 +637,8 @@ feed:
 		return nil, &InterruptedError{Path: path, Committed: next, Chunks: chunks}
 	}
 
-	out := &SweepResult{
-		Instances:       overall.Instances(),
-		Overall:         overall.Rows(),
-		ByWmin:          make(map[int][]TableRow, len(byWmin)),
-		ByCell:          make(map[Cell][]TableRow, len(byCell)),
-		Censored:        censored,
-		FailedInstances: failed,
-		InstanceErrors:  instanceErrors,
-		Warnings:        warnings,
-	}
-	for wmin, agg := range byWmin {
-		out.ByWmin[wmin] = agg.Rows()
-	}
-	for cell, agg := range byCell {
-		out.ByCell[cell] = agg.Rows()
-	}
+	out := resultOf(overall, byWmin, byCell, censored, failed)
+	out.InstanceErrors, out.Warnings = instanceErrors, warnings
 	return out, nil
 }
 

@@ -85,13 +85,12 @@ func TestRunSweepWorkerCountDeterminism(t *testing.T) {
 // worker count.
 func TestTraceSweepWorkerCountDeterminism(t *testing.T) {
 	mk := func(workers int) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "mct*", "random2w"},
 			Scenarios:  2,
 			Trials:     2,
-			TraceLen:   150,
-			Style:      TraceWeibull,
+			Source:     TraceSource{TraceLen: 150, Style: TraceWeibull},
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Seed:       2026,
 			Workers:    workers,

@@ -1,11 +1,11 @@
 package volatile
 
 // Trace-driven experiments: runs against explicit availability vectors
-// (RunTrace and friends) and trace sweeps through the sharded pipeline
-// (TraceSweep). The paper's conclusion proposes challenging the Markov
-// assumption with real availability traces; internal/trace supplies
-// FTA-style synthetic generators and the fitting code, and this file wires
-// them into the public API.
+// (RunSpec.Vectors) and trace sweeps through the sharded pipeline
+// (SweepConfig.Source = TraceSource). The paper's conclusion proposes
+// challenging the Markov assumption with real availability traces;
+// internal/trace supplies FTA-style synthetic generators and the fitting
+// code, and this file wires them into the public API.
 //
 // Fitting a Markov model to a vector and parsing vector specs are pure
 // functions of the input, so each Scenario interns the derived artifacts —
@@ -14,10 +14,10 @@ package volatile
 // rebuild invalidates everything because the cache lives on the Scenario
 // itself. Repeated runs on the same explicit trace set (every heuristic
 // comparison does this) then reuse one fit — and one interned analytics
-// table (expect.Analytics) — instead of re-deriving both per run.
-// TraceSweep's synthetic trace sets are unique per (scenario, trial) and
-// shared across that instance's heuristics directly, so they bypass the
-// cache rather than bloat it.
+// table (expect.Analytics) — instead of re-deriving both per run. A trace
+// sweep's synthetic trace sets are unique per (scenario, trial) and shared
+// across that instance's heuristics directly, so they bypass the cache
+// rather than bloat it.
 
 import (
 	"fmt"
@@ -25,15 +25,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/avail"
-	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -100,53 +95,6 @@ func (c *traceCache) models(key string, build func() (*traceModels, error)) (*tr
 	return tm, nil
 }
 
-// RunTrace executes the named heuristic against explicit availability
-// vectors (letters u/r/d, one string per processor; they replay verbatim and
-// then hold their last state). The informed heuristics consult Markov models
-// fitted to each vector, mirroring a master that estimated behaviour from
-// history. Vector count must match the scenario's processor count. The
-// fitted models are interned per scenario, so repeated runs on the same
-// vectors (comparing heuristics, sweeping seeds) fit them only once.
-func (s *Scenario) RunTrace(heuristic string, trialSeed uint64, vectors []string) (*RunResult, error) {
-	return s.RunTraceWithEvents(heuristic, trialSeed, vectors, nil)
-}
-
-// RunTraceWith is RunTrace on a reusable Runner (nil falls back to a
-// one-shot engine): replay processes and engine buffers are recycled across
-// runs, results are identical.
-func (s *Scenario) RunTraceWith(r *Runner, heuristic string, trialSeed uint64, vectors []string) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
-	}
-	return s.runTrace(r, tm, heuristic, trialSeed, mode, nil)
-}
-
-// RunTraceMode is RunTrace under an explicit engine time base. Trace
-// replay consumes no RNG, so deterministic heuristics produce bit-identical
-// results in both modes; see EXPERIMENTS.md for the full contract.
-func (s *Scenario) RunTraceMode(heuristic string, trialSeed uint64, vectors []string, mode Mode) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTrace(nil, tm, heuristic, trialSeed, mode, nil)
-}
-
-// RunTraceWithEvents is RunTrace with an event callback for timelines.
-func (s *Scenario) RunTraceWithEvents(heuristic string, trialSeed uint64, vectors []string,
-	onEvent func(Event)) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTrace(nil, tm, heuristic, trialSeed, ModeSlot, onEvent)
-}
-
 // tracedModels resolves explicit vector specs through the scenario's
 // intern cache, parsing and fitting on the first sighting only.
 func (s *Scenario) tracedModels(vectors []string) (*traceModels, error) {
@@ -185,46 +133,6 @@ func fitTraceModels(scn *Scenario, vectors []avail.Vector) (*traceModels, error)
 	return &traceModels{vectors: vectors, platform: pl}, nil
 }
 
-// runTrace executes one trace-driven run on interned models. With a Runner,
-// the replay processes come from its pool; results are identical either way.
-func (s *Scenario) runTrace(r *Runner, tm *traceModels, heuristic string, trialSeed uint64,
-	mode Mode, onEvent func(Event)) (*RunResult, error) {
-	var sched sim.Scheduler
-	var err error
-	if r != nil {
-		// Pooled scheduler: Reseed mirrors the fresh rng.New construction.
-		ps := r.pooled(heuristic)
-		ps.pcg.Reseed(trialSeed)
-		sched, err = ps.instance(heuristic)
-	} else {
-		sched, err = core.New(heuristic, rng.New(trialSeed))
-	}
-	if err != nil {
-		return nil, err
-	}
-	var procs []avail.Process
-	if r != nil {
-		procs = r.vectorProcs(tm.vectors)
-	} else {
-		procs = make([]avail.Process, len(tm.vectors))
-		for i, v := range tm.vectors {
-			procs[i] = avail.NewVectorProcess(v)
-		}
-	}
-	cfg := sim.Config{
-		Platform:  tm.platform,
-		Params:    s.inner.Params,
-		Procs:     procs,
-		Scheduler: sched,
-		Mode:      mode,
-		OnEvent:   onEvent,
-	}
-	if r == nil {
-		return sim.Run(cfg)
-	}
-	return r.r.Run(cfg)
-}
-
 // vectorProcs rewinds the Runner's pooled replay processes onto the given
 // vectors. The returned slice is valid until the next call.
 func (r *Runner) vectorProcs(vectors []avail.Vector) []avail.Process {
@@ -241,22 +149,16 @@ func (r *Runner) vectorProcs(vectors []avail.Vector) []avail.Process {
 	return r.vps
 }
 
-// TraceSweepConfig describes a trace-driven sweep: for every (cell,
-// scenario, trial) instance a synthetic FTA-style trace set is generated,
-// Markov models are fitted to it, and every heuristic runs against the same
-// replayed vectors — the trace-driven analogue of SweepConfig.
-type TraceSweepConfig struct {
-	// Cells are the (n, ncom, wmin) combinations to cover.
-	Cells []Cell
-	// Heuristics are the heuristic names to compare (default: all 17).
-	Heuristics []string
-	// Scenarios is the number of random scenarios per cell.
-	Scenarios int
-	// Trials is the number of independent trace draws per scenario.
-	Trials int
-	// TraceLen is the recorded length of each availability vector in slots
-	// (default 1000; past the end, processors hold their last state).
-	// Ignored when TraceFiles is set.
+// TraceSource replays traces instead of drawing Markov trajectories: for
+// every (cell, scenario, trial) instance a trace set is resolved, Markov
+// models are fitted to it (the master's belief for informed heuristics),
+// and every heuristic runs against the same replayed vectors. Trace replay
+// consumes no RNG, so trial seeds confront both engine modes with
+// identical worlds; see EXPERIMENTS.md for when results match bit for bit.
+type TraceSource struct {
+	// TraceLen is the recorded length of each synthetic availability
+	// vector in slots (default 1000; past the end, processors hold their
+	// last state). Ignored when TraceFiles is set.
 	TraceLen int
 	// Style selects the synthetic sojourn family (default TraceWeibull).
 	// Ignored when TraceFiles is set.
@@ -265,170 +167,61 @@ type TraceSweepConfig struct {
 	// recorded trace sets read from disk (the format trace.Set.Write
 	// produces — e.g. converted Failure Trace Archive data, or the output
 	// of cmd/volatrace). Trial t of every scenario replays
-	// TraceFiles[t mod len(TraceFiles)], so recorded vectors flow through
-	// the identical sharded pipeline: every heuristic of an instance faces
-	// the same replayed vectors, models are fitted once per (scenario,
-	// file) through the per-scenario intern cache, and results stay
-	// bit-identical for any worker count. Every file must hold exactly
-	// Options.Processors vectors (default 20) of length >= 2.
+	// TraceFiles[t mod len(TraceFiles)]; models are fitted once per
+	// (scenario, file) through the per-scenario intern cache. Every file
+	// must hold exactly Options.Processors vectors (default 20) of length
+	// >= 2. Files are content-hashed into the config digest, so a resume
+	// against edited trace files is rejected.
 	TraceFiles []string
-	// Options tunes scenario generation (platform size, iterations, ...).
-	Options ScenarioOptions
-	// Mode selects the engine time base (default ModeSlot). Trace replay
-	// consumes no RNG, so trial seeds confront both modes with identical
-	// worlds; see EXPERIMENTS.md for when results match bit for bit.
-	Mode Mode
-	// Seed makes the whole sweep reproducible.
-	Seed uint64
-	// Workers bounds parallelism (default: GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, receives (completedInstances, totalInstances);
-	// see SweepConfig.Progress for the concurrency contract.
-	Progress func(done, total int)
-	// Checkpoint, Stop, MaxRetries, RetryBackoff, ContinueOnError and
-	// Faults mirror the SweepConfig fields of the same names: crash-safe
-	// checkpointing, graceful interrupt and the failure policy. Recorded
-	// trace sets are content-hashed into the checkpoint's config digest, so
-	// a resume against edited trace files is rejected.
-	Checkpoint      *CheckpointConfig
-	Stop            <-chan struct{}
-	MaxRetries      int
-	RetryBackoff    time.Duration
-	ContinueOnError bool
-	Faults          *faultinject.Plan
 }
 
 // traceSeedSalt separates trace-generation streams from trial streams.
 const traceSeedSalt = 0x7ACE5
 
-// tracePlan is everything a trace sweep resolves up front, shared by
-// TraceSweep and TraceSweepConfig.ConfigDigest: the validated heuristic
-// list, the loaded recorded sets (nil for synthetic sweeps), the effective
-// trace length and the canonical config digest.
-type tracePlan struct {
-	heuristics []string
-	sets       []*trace.Set
-	traceLen   int
-	digest     string
-}
-
-// traceSweepPlan validates the config, loads any recorded trace sets and
-// canonicalizes the sweep into its config digest.
-func traceSweepPlan(cfg TraceSweepConfig) (*tracePlan, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return nil, err
-	}
-	var sets []*trace.Set
-	if len(cfg.TraceFiles) > 0 {
+// resolve loads any recorded trace sets up front, so a misconfigured sweep
+// fails before any simulation work, and pins the trace source in the
+// digest: the sojourn family and recorded length for synthetic sweeps, the
+// full vector content for recorded sets (paths alone would let an edited
+// file poison a resume).
+func (src TraceSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
+	if len(src.TraceFiles) > 0 {
 		p := cfg.Options.Processors
 		if p == 0 {
 			p = workload.DefaultProcessors
 		}
-		sets, err = loadTraceSets(cfg.TraceFiles, p)
+		sets, err := loadTraceSets(src.TraceFiles, p)
 		if err != nil {
 			return nil, err
 		}
+		extras, err := traceSetDigests(sets)
+		if err != nil {
+			return nil, err
+		}
+		return &sourcePlan{flavour: "tracesweep", extras: extras,
+			traces: func(scn *Scenario, _, _, trialIdx int) (*traceModels, error) {
+				// Recorded sets repeat across scenarios (and across trials
+				// when Trials > len(sets)): one fit per (scenario, file),
+				// shared by every heuristic and trial replaying that file.
+				return scn.fileTraceModels(sets, trialIdx%len(sets))
+			}}, nil
 	}
-	traceLen := cfg.TraceLen
+	traceLen := src.TraceLen
 	if traceLen == 0 {
 		traceLen = 1000
 	}
-	if sets == nil && traceLen < 2 {
+	if traceLen < 2 {
 		return nil, fmt.Errorf("volatile: TraceLen %d too short to fit models (need >= 2)", traceLen)
 	}
-	// The digest pins the trace source: the sojourn family and recorded
-	// length for synthetic sweeps, the full vector content for recorded
-	// sets (paths alone would let an edited file poison a resume).
-	var extra []string
-	if sets != nil {
-		if extra, err = traceSetDigests(sets); err != nil {
-			return nil, err
-		}
-	} else {
-		extra = []string{fmt.Sprintf("style %s", cfg.Style), fmt.Sprintf("tracelen %d", traceLen)}
-	}
-	return &tracePlan{
-		heuristics: heuristics,
-		sets:       sets,
-		traceLen:   traceLen,
-		digest: sweepConfigDigest("tracesweep", cfg.Cells, heuristics,
-			cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, extra...),
-	}, nil
-}
-
-// TraceSweep executes a trace-driven sweep through the same sharded
-// pipeline as RunSweep: per-worker shard aggregation, deterministic
-// chunk-order merge, bit-identical results for every worker count. Each
-// instance resolves one trace set — synthetic by default, or recorded
-// from disk when TraceFiles is set — fits models once (interned per
-// scenario), and confronts every heuristic with the same replayed vectors.
-func TraceSweep(cfg TraceSweepConfig) (*SweepResult, error) {
-	plan, err := traceSweepPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	heuristics, sets, traceLen := plan.heuristics, plan.sets, plan.traceLen
-	return runSharded(shardedSweep{
-		cells:     cfg.Cells,
-		scenarios: cfg.Scenarios,
-		trials:    cfg.Trials,
-		options:   cfg.Options,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-		progress:  cfg.Progress,
-		control: sweepControl{
-			digest:          plan.digest,
-			checkpoint:      cfg.Checkpoint,
-			stop:            cfg.Stop,
-			faults:          cfg.Faults,
-			maxRetries:      cfg.MaxRetries,
-			retryBackoff:    cfg.RetryBackoff,
-			continueOnError: cfg.ContinueOnError,
-		},
-		newRunner: func() instanceRunner {
-			rn := NewRunner()
-			rn.SetMode(cfg.Mode)
-			return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-				var tm *traceModels
-				var err error
-				if sets != nil {
-					// Recorded sets repeat across scenarios (and across
-					// trials when Trials > len(sets)), so intern the fitted
-					// models through the per-scenario cache: one fit per
-					// (scenario, file), shared by every heuristic and every
-					// trial replaying that file.
-					tm, err = scn.fileTraceModels(sets, trialIdx%len(sets))
-				} else {
-					// Each (scenario, trial) has a unique synthetic trace set
-					// and all its heuristic runs share the tm below directly,
-					// so interning synthetic sets in the scenario cache would
-					// only retain memory — build them uncached and let them
-					// die with the instance. (Explicit-vector runs, which
-					// genuinely repeat, go through the cache in tracedModels.)
-					genSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
-					tm, err = synthTraceModels(scn, genSeed, cfg.Style, traceLen)
-				}
-				if err != nil {
-					return 0, err
-				}
-				trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-				nCens := 0
-				for _, h := range heuristics {
-					res, err := scn.runTrace(rn, tm, h, trialSeed, cfg.Mode, nil)
-					if err != nil {
-						return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-					}
-					ir.Makespans[h] = res.Makespan
-					if !res.Completed {
-						ir.Censored[h] = true
-						nCens++
-					}
-				}
-				return nCens, nil
-			}
-		},
-	})
+	seed, style := cfg.Seed, src.Style
+	return &sourcePlan{flavour: "tracesweep",
+		extras: []string{fmt.Sprintf("style %s", style), fmt.Sprintf("tracelen %d", traceLen)},
+		traces: func(scn *Scenario, cellIdx, scenIdx, trialIdx int) (*traceModels, error) {
+			// Each (scenario, trial) has a unique synthetic set that only
+			// this instance's runs share, so it is built uncached and dies
+			// with the instance.
+			genSeed := deriveSeed(seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
+			return synthTraceModels(scn, genSeed, style, traceLen)
+		}}, nil
 }
 
 // loadTraceSets reads and validates every trace file up front, so a

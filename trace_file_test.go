@@ -67,20 +67,20 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 	specs := [][]string{specsA, specsB}
 
 	// On-disk path: the sweep reads the files back and replays them.
-	res, err := TraceSweep(TraceSweepConfig{
+	res, err := RunSweep(SweepConfig{
 		Cells:      cells,
 		Heuristics: heuristics,
 		Scenarios:  scenarios,
 		Trials:     trials,
 		Options:    opt,
 		Seed:       seed,
-		TraceFiles: files,
+		Source:     TraceSource{TraceFiles: files},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// In-memory path: the same instances, sequentially, through RunTrace on
+	// In-memory path: the same instances, sequentially, through RunWith on
 	// the original (never-serialized) vectors, aggregated in the exact
 	// chunk/trial order runSharded commits in.
 	overall := stats.NewAggregator()
@@ -98,7 +98,7 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 					Censored:  make(map[string]bool),
 				}
 				for _, h := range heuristics {
-					r, err := scn.RunTraceWith(rn, h, trialSeed, specs[tr%len(specs)])
+					r, err := scn.RunWith(RunSpec{Heuristic: h, TrialSeed: trialSeed, Runner: rn, Vectors: specs[tr%len(specs)]})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -155,7 +155,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	file, _ := writeTraceFile(t, dir, 11, 6, 100)
 	mk := func(workers int) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "mct*", "random2w"},
 			Scenarios:  2,
@@ -163,7 +163,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Seed:       2027,
 			Workers:    workers,
-			TraceFiles: []string{file},
+			Source:     TraceSource{TraceFiles: []string{file}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 // TestTraceSweepFileValidation exercises the fail-fast ingestion paths.
 func TestTraceSweepFileValidation(t *testing.T) {
 	dir := t.TempDir()
-	base := TraceSweepConfig{
+	base := SweepConfig{
 		Cells:      []Cell{{Tasks: 4, Ncom: 3, Wmin: 1}},
 		Heuristics: []string{"mct"},
 		Scenarios:  1,
@@ -195,8 +195,8 @@ func TestTraceSweepFileValidation(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.TraceFiles = []string{filepath.Join(dir, "missing.volatrace")}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Source = TraceSource{TraceFiles: []string{filepath.Join(dir, "missing.volatrace")}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("missing trace file accepted")
 	}
 
@@ -205,16 +205,16 @@ func TestTraceSweepFileValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = base
-	cfg.TraceFiles = []string{bad}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Source = TraceSource{TraceFiles: []string{bad}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("corrupt trace file accepted")
 	}
 
 	// Vector-count mismatch: 6 vectors for a 4-processor sweep.
 	mismatch, _ := writeTraceFile(t, t.TempDir(), 3, 6, 50)
 	cfg = base
-	cfg.TraceFiles = []string{mismatch}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Source = TraceSource{TraceFiles: []string{mismatch}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("processor-count mismatch accepted")
 	}
 
@@ -224,8 +224,8 @@ func TestTraceSweepFileValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = base
-	cfg.TraceFiles = []string{short}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Source = TraceSource{TraceFiles: []string{short}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("too-short trace vectors accepted")
 	}
 }

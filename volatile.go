@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/avail"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/rng"
@@ -163,7 +164,7 @@ type (
 	// SlotReport is the per-slot observer payload.
 	SlotReport = sim.SlotReport
 	// AllocationPolicy decides a moldable application's tasks-per-iteration
-	// count at every iteration boundary (see RunAlloc and MoldableSweep).
+	// count at every iteration boundary (see RunSpec.Alloc and SweepConfig.Alloc).
 	AllocationPolicy = sim.AllocationPolicy
 )
 
@@ -241,16 +242,16 @@ func (s *Scenario) ProcessorModel(i int) *avail.Markov3 {
 
 // Runner wraps a reusable simulation engine plus per-trial scratch. Tight
 // loops (sweeps, benchmarks) that execute many runs on one goroutine should
-// create one Runner and pass it to RunWith: every engine-internal buffer
-// (worker states, task tables, scheduler view, scratch, the copy pool) and
-// every trial resource (availability processes, their RNG streams, trace
-// replay processes) is then recycled across runs instead of reallocated.
-// Results are identical to Run's. A Runner must not be shared between
-// goroutines.
+// create one Runner and set it in every RunSpec: every engine-internal
+// buffer (worker states, task tables, scheduler view, scratch, the copy
+// pool), every trial resource (availability processes, their RNG streams,
+// trace replay processes) and the batch engine are then recycled across
+// runs instead of reallocated. Results are identical to a one-shot run's. A
+// Runner must not be shared between goroutines.
 type Runner struct {
 	r sim.Runner
-	// mode is the engine time base every run on this Runner uses.
-	mode Mode
+	// batch is the pooled engine of batch-discipline runs.
+	batch batch.Runner
 	// trialRng is the pooled per-trial generator, reseeded per run.
 	trialRng rng.PCG
 	// trials pools the Markov availability processes of model-driven runs.
@@ -310,113 +311,99 @@ func (ps *pooledSched) instance(name string) (sim.Scheduler, error) {
 // NewRunner returns a reusable Runner; its first run sizes the buffers.
 func NewRunner() *Runner { return &Runner{} }
 
-// SetMode selects the engine time base for every subsequent run on this
-// Runner (default ModeSlot). The trial RNG discipline is identical in both
-// modes — the same trial seed draws the same platform trajectories — but
-// event mode consumes the per-processor streams at sojourn rather than
-// slot granularity, so Markov-driven results are distribution-equivalent,
-// not bit-identical, across modes.
-func (r *Runner) SetMode(m Mode) { r.mode = m }
+// RunSpec describes one simulation run on a Scenario. Every field but
+// Heuristic has a usable zero value: trial seed 0, slot mode, a one-shot
+// engine, the rigid application, Markov-drawn availability, no callbacks.
+type RunSpec struct {
+	// Heuristic names the scheduling heuristic (see Heuristics).
+	Heuristic string
+	// TrialSeed determines the availability trajectories and any heuristic
+	// randomness: the same (scenario, TrialSeed) pair confronts every
+	// heuristic with the same world.
+	TrialSeed uint64
+	// Mode selects the engine time base (default ModeSlot). The trial RNG
+	// discipline is identical in both modes, but event mode consumes the
+	// per-processor streams at sojourn rather than slot granularity, so
+	// Markov-driven results are distribution-equivalent, not bit-identical,
+	// across modes.
+	Mode Mode
+	// Runner, when non-nil, recycles engine buffers, trial resources and
+	// schedulers across runs; results are identical without one.
+	Runner *Runner
+	// Alloc, when non-nil, makes the application moldable: the policy
+	// decides each iteration's task count at the iteration boundary, seeded
+	// with the scenario's Tasks value as the natural shape, and the result's
+	// IterationTasks records the counts. nil is the rigid model, which the
+	// "fixed" policy reproduces bit for bit. Stateful policies reset at
+	// every run boundary, so one instance may serve many sequential runs on
+	// one goroutine.
+	Alloc AllocationPolicy
+	// Vectors, when non-nil, replaces the Markov trajectories with explicit
+	// availability vectors (letters u/r/d, one string per processor; they
+	// replay verbatim and then hold their last state). The informed
+	// heuristics consult Markov models fitted to each vector, mirroring a
+	// master that estimated behaviour from history; the fits are interned
+	// per scenario, so repeated runs on the same vectors fit them once.
+	// Trace replay consumes no RNG, so deterministic heuristics produce
+	// bit-identical results in both modes.
+	Vectors []string
+	// Observer, when non-nil, receives the per-slot report.
+	Observer func(*SlotReport)
+	// OnEvent, when non-nil, receives every engine event (for timelines).
+	OnEvent func(Event)
+}
 
-// Run executes the named heuristic on one trial of the scenario. The trial
-// seed determines the availability trajectories and any heuristic
-// randomness; the same (scenario, trialSeed) pair confronts every heuristic
-// with the same world.
+// Run executes the named heuristic on one trial of the scenario: RunWith
+// with every other RunSpec field at its default.
 func (s *Scenario) Run(heuristic string, trialSeed uint64) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, ModeSlot, nil, nil, nil)
+	return s.RunWith(RunSpec{Heuristic: heuristic, TrialSeed: trialSeed})
 }
 
-// RunMode is Run under an explicit engine time base.
-func (s *Scenario) RunMode(heuristic string, trialSeed uint64, mode Mode) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, mode, nil, nil, nil)
-}
-
-// RunWith is Run on a reusable Runner (nil falls back to a one-shot
-// engine). The run uses the Runner's mode (SetMode).
-func (s *Scenario) RunWith(r *Runner, heuristic string, trialSeed uint64) (*RunResult, error) {
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
+// RunWith executes one run as spec describes.
+func (s *Scenario) RunWith(spec RunSpec) (*RunResult, error) {
+	var tm *traceModels
+	if spec.Vectors != nil {
+		var err error
+		if tm, err = s.tracedModels(spec.Vectors); err != nil {
+			return nil, err
+		}
 	}
-	return s.run(r, heuristic, trialSeed, mode, nil, nil, nil)
+	return s.run(spec, tm)
 }
 
-// RunAlloc runs the moldable variant of the application: the allocation
-// policy named by spec decides each iteration's task count (the scenario's
-// Tasks value seeds the policy as the application's natural shape). With
-// spec "fixed" the result is bit-identical to Run. The result's
-// IterationTasks records the per-iteration counts.
-func (s *Scenario) RunAlloc(heuristic, spec string, trialSeed uint64) (*RunResult, error) {
-	pol, err := ParseAllocPolicy(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(nil, heuristic, trialSeed, ModeSlot, nil, nil, pol)
-}
-
-// RunAllocWith is RunAlloc on a reusable Runner under the Runner's mode,
-// with a caller-held policy instance (stateful policies reset at every run
-// boundary, so one instance may serve many sequential runs on one
-// goroutine).
-func (s *Scenario) RunAllocWith(r *Runner, heuristic string, alloc AllocationPolicy,
-	trialSeed uint64) (*RunResult, error) {
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
-	}
-	return s.run(r, heuristic, trialSeed, mode, nil, nil, alloc)
-}
-
-// RunWithHooks is Run with optional per-slot observer and event callbacks.
-func (s *Scenario) RunWithHooks(heuristic string, trialSeed uint64,
-	observer func(*SlotReport), onEvent func(Event)) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, ModeSlot, observer, onEvent, nil)
-}
-
-// RunModeWithHooks is RunWithHooks under an explicit engine time base.
-func (s *Scenario) RunModeWithHooks(heuristic string, trialSeed uint64, mode Mode,
-	observer func(*SlotReport), onEvent func(Event)) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, mode, observer, onEvent, nil)
-}
-
-func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64, mode Mode,
-	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
-	// The pooled path consumes the RNG exactly as the allocating path does
-	// (Reseed mirrors New, TrialPool.Trial mirrors Trial), so both produce
-	// identical trajectories for the same trial seed.
-	var trialRng *rng.PCG
-	var procs []avail.Process
-	var sched sim.Scheduler
-	var err error
-	if r != nil {
-		r.trialRng.Reseed(trialSeed)
-		trialRng = &r.trialRng
-		procs = r.trials.Trial(s.inner, trialRng)
-		// Pooled scheduler: SplitInto consumes trialRng exactly as Split
-		// does, and reseeds the pooled instance's stream in place.
-		ps := r.pooled(heuristic)
-		trialRng.SplitInto(&ps.pcg)
-		sched, err = ps.instance(heuristic)
-	} else {
-		trialRng = rng.New(trialSeed)
-		procs = s.inner.Trial(trialRng)
-		sched, err = core.New(heuristic, trialRng.Split())
-	}
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{
-		Platform:  s.inner.Platform,
-		Params:    s.inner.Params,
-		Procs:     procs,
-		Scheduler: sched,
-		Mode:      mode,
-		Observer:  observer,
-		OnEvent:   onEvent,
-		Alloc:     alloc,
-	}
+// run executes one run, on the Markov trajectories the trial seed denotes
+// or, when tm is non-nil, on its replayed vectors and fitted models. A nil
+// Runner gets a one-shot one: the pooled path consumes the RNG exactly as
+// fresh construction would (Reseed mirrors New, TrialPool.Trial mirrors
+// Trial, SplitInto mirrors Split), so reuse never changes a result.
+func (s *Scenario) run(spec RunSpec, tm *traceModels) (*RunResult, error) {
+	r := spec.Runner
 	if r == nil {
-		return sim.Run(cfg)
+		r = NewRunner()
 	}
+	ps := r.pooled(spec.Heuristic)
+	cfg := sim.Config{
+		Platform: s.inner.Platform,
+		Params:   s.inner.Params,
+		Mode:     spec.Mode,
+		Observer: spec.Observer,
+		OnEvent:  spec.OnEvent,
+		Alloc:    spec.Alloc,
+	}
+	if tm != nil {
+		// Trace replay draws nothing, so the trial seed seeds the
+		// scheduler's stream directly.
+		ps.pcg.Reseed(spec.TrialSeed)
+		cfg.Platform, cfg.Procs = tm.platform, r.vectorProcs(tm.vectors)
+	} else {
+		r.trialRng.Reseed(spec.TrialSeed)
+		cfg.Procs = r.trials.Trial(s.inner, &r.trialRng)
+		r.trialRng.SplitInto(&ps.pcg)
+	}
+	sched, err := ps.instance(spec.Heuristic)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Scheduler = sched
 	return r.r.Run(cfg)
 }

@@ -86,9 +86,9 @@ func TestReplicationToggle(t *testing.T) {
 func TestRunWithHooks(t *testing.T) {
 	scn := NewScenario(13, Cell{Tasks: 3, Ncom: 3, Wmin: 1}, ScenarioOptions{Iterations: 1})
 	slots, events := 0, 0
-	res, err := scn.RunWithHooks("mct", 2,
-		func(sr *SlotReport) { slots++ },
-		func(ev Event) { events++ })
+	res, err := scn.RunWith(RunSpec{Heuristic: "mct", TrialSeed: 2,
+		Observer: func(sr *SlotReport) { slots++ },
+		OnEvent:  func(ev Event) { events++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,10 @@ func TestRunWithHooks(t *testing.T) {
 func TestRunTrace(t *testing.T) {
 	scn := NewScenario(17, Cell{Tasks: 2, Ncom: 2, Wmin: 1}, ScenarioOptions{Processors: 2, Iterations: 1})
 	long := strings.Repeat("u", 200)
-	res, err := scn.RunTrace("emct", 3, []string{long, long})
+	run := func(vectors ...string) (*RunResult, error) {
+		return scn.RunWith(RunSpec{Heuristic: "emct", TrialSeed: 3, Vectors: vectors})
+	}
+	res, err := run(long, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +114,11 @@ func TestRunTrace(t *testing.T) {
 		t.Fatal("always-up trace censored")
 	}
 	// Vector count mismatch.
-	if _, err := scn.RunTrace("emct", 3, []string{long}); err == nil {
+	if _, err := run(long); err == nil {
 		t.Fatal("vector count mismatch accepted")
 	}
 	// Bad letters.
-	if _, err := scn.RunTrace("emct", 3, []string{long, "ux"}); err == nil {
+	if _, err := run(long, "ux"); err == nil {
 		t.Fatal("bad vector accepted")
 	}
 }
@@ -342,14 +345,15 @@ func TestRunSweepUnknownHeuristicFailsFast(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("validation ran %d instances before failing", calls)
 	}
-	// TraceSweep shares the validation path.
-	if _, err := TraceSweep(TraceSweepConfig{
+	// Every source shares the validation path.
+	if _, err := RunSweep(SweepConfig{
 		Cells:      []Cell{{Tasks: 2, Ncom: 2, Wmin: 1}},
 		Heuristics: []string{"nope"},
 		Scenarios:  1,
 		Trials:     1,
+		Source:     TraceSource{},
 	}); err == nil {
-		t.Fatal("TraceSweep accepted an unknown heuristic")
+		t.Fatal("trace sweep accepted an unknown heuristic")
 	}
 }
 
@@ -374,7 +378,7 @@ func TestTraceCacheConcurrentInterning(t *testing.T) {
 			defer wg.Done()
 			rn := NewRunner()
 			for i, specs := range sets {
-				res, err := scn.RunTraceWith(rn, "emct", uint64(i), specs)
+				res, err := scn.RunWith(RunSpec{Heuristic: "emct", TrialSeed: uint64(i), Runner: rn, Vectors: specs})
 				if err != nil {
 					t.Error(err)
 					return
