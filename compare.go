@@ -57,7 +57,7 @@ type CompareSource struct {
 
 // resolve validates the discipline list; the names ride along as digest
 // extras.
-func (src CompareSource) resolve(*SweepConfig) (*sourcePlan, error) {
+func (src CompareSource) resolve(*SweepConfig) (sourcePlan, error) {
 	names := src.Disciplines
 	if len(names) == 0 {
 		names = BatchDisciplines()
@@ -65,11 +65,11 @@ func (src CompareSource) resolve(*SweepConfig) (*sourcePlan, error) {
 	extras := make([]string, len(names))
 	for i, name := range names {
 		if _, err := parseDiscipline(name); err != nil {
-			return nil, err
+			return sourcePlan{}, err
 		}
 		extras[i] = "discipline " + name
 	}
-	return &sourcePlan{flavour: "comparesweep", extras: extras, disciplines: names}, nil
+	return sourcePlan{flavour: "comparesweep", extras: extras, disciplines: names}, nil
 }
 
 // BatchSweep ranks the batch disciplines alone: the sweep cfg describes

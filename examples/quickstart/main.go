@@ -53,4 +53,15 @@ func main() {
 	default:
 		fmt.Println(" (tie)")
 	}
+
+	// Run is shorthand for RunWith and a RunSpec, which carries every other
+	// knob: the time base, a reusable Runner, an allocation policy, explicit
+	// availability vectors, callbacks. The event-driven clock samples
+	// availability per sojourn, so its trajectory follows the same models
+	// but is a different draw than slot mode's.
+	ev, err := scn.RunWith(volatile.RunSpec{Heuristic: "emct*", TrialSeed: 1, Mode: volatile.ModeEvent})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("emct* on the event-driven clock: %d slots\n", ev.Makespan)
 }

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestParentCheckpointsResume resumes one mid-sweep checkpoint per config
+// TestLegacyCheckpointsResume resumes one mid-sweep checkpoint per config
 // digest family, each written by the code that predates the single
 // SweepConfig (a committer crash after 3 of 6 chunks, so the files hold 2
 // committed chunks), and requires the pinned uninterrupted result digest.
 // A refactor that moves a family's canonical config string fails here with
 // a digest-mismatch error; one that moves results fails on the digest.
-func TestParentCheckpointsResume(t *testing.T) {
+func TestLegacyCheckpointsResume(t *testing.T) {
 	base := resumeTestConfig()
 	cases := []struct {
 		family string
@@ -42,7 +42,7 @@ func TestParentCheckpointsResume(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.family, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join("testdata", "parent-"+c.family+".ckpt"))
+			src, err := os.ReadFile(filepath.Join("testdata", "legacy-"+c.family+".ckpt"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,28 +35,47 @@ const goldenMoldableDigest = "3de61fe543eed972518d83176d0da24f624d56c98175941dc3
 // TestMoldableFixedMatchesRunSweep pins the bridge between the moldable
 // family and the rigid goldens: under the "fixed" policy (explicit or
 // defaulted) MoldableSweep must produce the exact RunSweep result — same
-// instances, same aggregates, bit for bit.
+// instances, same aggregates, bit for bit — on every availability source,
+// while the policy still moves the config digest and an adaptive policy
+// reaches the engine.
 func TestMoldableFixedMatchesRunSweep(t *testing.T) {
-	base := resumeTestConfig()
-	ref, err := RunSweep(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alloc := range []string{"fixed", ""} {
-		res, err := MoldableSweep(MoldableConfig{
-			Cells:      base.Cells,
-			Heuristics: base.Heuristics,
-			Alloc:      alloc,
-			Scenarios:  base.Scenarios,
-			Trials:     base.Trials,
-			Seed:       base.Seed,
-		})
+	for _, src := range []Source{nil, TraceSource{TraceLen: 150}, CompareSource{}} {
+		base := resumeTestConfig()
+		base.Source = src
+		ref, err := RunSweep(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Format() != ref.Format() {
-			t.Errorf("alloc=%q moldable sweep diverged from RunSweep:\nmoldable:\n%s\nrunsweep:\n%s",
-				alloc, res.Format(), ref.Format())
+		rigid, err := base.ConfigDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alloc := range []string{"fixed", ""} {
+			cfg := base
+			cfg.Alloc = alloc
+			res, err := MoldableSweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Format() != ref.Format() {
+				t.Errorf("source %T alloc=%q: moldable sweep diverged from RunSweep:\nmoldable:\n%s\nrunsweep:\n%s",
+					src, alloc, res.Format(), ref.Format())
+			}
+		}
+		cfg := base
+		cfg.Alloc = "fixed"
+		if d, err := cfg.ConfigDigest(); err != nil || d == rigid {
+			t.Errorf("source %T: fixed-policy digest %s (err %v) must differ from the rigid %s", src, d, err, rigid)
+		}
+		// An adaptive policy must reach the engine on every source: a
+		// policy dropped on the way would reproduce the rigid result.
+		cfg.Alloc = "maximum-iters"
+		res, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Format() == ref.Format() {
+			t.Errorf("source %T: maximum-iters sweep equals the rigid one; the policy never ran", src)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 type Source interface {
 	// resolve validates the source for cfg and returns its digest
 	// flavour, its canonical digest extras and its per-instance setup.
-	resolve(cfg *SweepConfig) (*sourcePlan, error)
+	resolve(cfg *SweepConfig) (sourcePlan, error)
 }
 
 // sourcePlan is a resolved Source.
@@ -156,19 +156,19 @@ type sourcePlan struct {
 // their historical digest flavours.
 type markovSource struct{}
 
-func (markovSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
+func (markovSource) resolve(cfg *SweepConfig) (sourcePlan, error) {
 	if cfg.Alloc != "" {
-		return &sourcePlan{flavour: "moldable"}, nil
+		return sourcePlan{flavour: "moldable"}, nil
 	}
-	return &sourcePlan{flavour: "runsweep"}, nil
+	return sourcePlan{flavour: "runsweep"}, nil
 }
 
 // sweepPlan is everything a sweep resolves before it runs, shared by
-// RunSweep and ConfigDigest: the heuristic list, the resolved source and
+// RunSweep and ConfigDigest: the resolved source, the heuristic list and
 // the canonical config digest.
 type sweepPlan struct {
+	sourcePlan
 	heuristics []string
-	src        *sourcePlan
 	digest     string
 }
 
@@ -203,8 +203,8 @@ func (cfg SweepConfig) planWith(heuristics []string) (*sweepPlan, error) {
 		sp.extras = append(sp.extras, "alloc "+pol.Name())
 	}
 	return &sweepPlan{
+		sourcePlan: sp,
 		heuristics: heuristics,
-		src:        sp,
 		digest: sweepConfigDigest(sp.flavour, cfg.Cells, heuristics,
 			cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, sp.extras...),
 	}, nil
@@ -235,9 +235,9 @@ func (p *sweepPlan) newWorker(cfg *SweepConfig) instanceRunner {
 			return 0, polErr
 		}
 		var tm *traceModels
-		if p.src.traces != nil {
+		if p.traces != nil {
 			var err error
-			if tm, err = p.src.traces(scn, cellIdx, scenIdx, trialIdx); err != nil {
+			if tm, err = p.traces(scn, cellIdx, scenIdx, trialIdx); err != nil {
 				return 0, err
 			}
 		}
@@ -263,7 +263,7 @@ func (p *sweepPlan) newWorker(cfg *SweepConfig) instanceRunner {
 			}
 			record(h, res.Makespan, res.Completed)
 		}
-		for _, d := range p.src.disciplines {
+		for _, d := range p.disciplines {
 			res, err := scn.runBatch(rn, d, spec.TrialSeed)
 			if err != nil {
 				return 0, fmt.Errorf("volatile: %s on %s: %w", d, scn.inner.Name, err)

@@ -183,7 +183,7 @@ const traceSeedSalt = 0x7ACE5
 // digest: the sojourn family and recorded length for synthetic sweeps, the
 // full vector content for recorded sets (paths alone would let an edited
 // file poison a resume).
-func (src TraceSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
+func (src TraceSource) resolve(cfg *SweepConfig) (sourcePlan, error) {
 	if len(src.TraceFiles) > 0 {
 		p := cfg.Options.Processors
 		if p == 0 {
@@ -191,13 +191,13 @@ func (src TraceSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
 		}
 		sets, err := loadTraceSets(src.TraceFiles, p)
 		if err != nil {
-			return nil, err
+			return sourcePlan{}, err
 		}
 		extras, err := traceSetDigests(sets)
 		if err != nil {
-			return nil, err
+			return sourcePlan{}, err
 		}
-		return &sourcePlan{flavour: "tracesweep", extras: extras,
+		return sourcePlan{flavour: "tracesweep", extras: extras,
 			traces: func(scn *Scenario, _, _, trialIdx int) (*traceModels, error) {
 				// Recorded sets repeat across scenarios (and across trials
 				// when Trials > len(sets)): one fit per (scenario, file),
@@ -210,10 +210,10 @@ func (src TraceSource) resolve(cfg *SweepConfig) (*sourcePlan, error) {
 		traceLen = 1000
 	}
 	if traceLen < 2 {
-		return nil, fmt.Errorf("volatile: TraceLen %d too short to fit models (need >= 2)", traceLen)
+		return sourcePlan{}, fmt.Errorf("volatile: TraceLen %d too short to fit models (need >= 2)", traceLen)
 	}
 	seed, style := cfg.Seed, src.Style
-	return &sourcePlan{flavour: "tracesweep",
+	return sourcePlan{flavour: "tracesweep",
 		extras: []string{fmt.Sprintf("style %s", style), fmt.Sprintf("tracelen %d", traceLen)},
 		traces: func(scn *Scenario, cellIdx, scenIdx, trialIdx int) (*traceModels, error) {
 			// Each (scenario, trial) has a unique synthetic set that only

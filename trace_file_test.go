@@ -43,8 +43,8 @@ func writeTraceFile(t *testing.T, dir string, seed uint64, p, n int) (string, []
 }
 
 // TestTraceSweepFileRoundTrip is the ingestion round-trip guard:
-// trace.Record → Set.Write to disk → TraceSweep{TraceFiles} must
-// reproduce, bit for bit, the digest of the in-memory path (RunTrace on
+// trace.Record → Set.Write to disk → TraceSource{TraceFiles} must
+// reproduce, bit for bit, the digest of the in-memory path (RunSpec.Vectors on
 // the same vectors, aggregated in the sweep's sequential order). Any
 // divergence means serialization, parsing, model fitting or the sharded
 // pipeline changed what the scheduler sees.
@@ -139,7 +139,7 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 	}
 
 	if got, expect := formatSweep(res), formatSweep(want); got != expect {
-		t.Errorf("file-ingestion sweep diverged from the in-memory RunTrace path:\nfile path:\n%s\nin-memory path:\n%s",
+		t.Errorf("file-ingestion sweep diverged from the in-memory vector path:\nfile path:\n%s\nin-memory path:\n%s",
 			got, expect)
 	}
 	if res.Instances != len(cells)*scenarios*trials {
