@@ -40,16 +40,6 @@ func Experiments() []string { return append([]string(nil), experiments...) }
 // sweep pipeline (checkpointable, streamable, servable).
 func SweepExperiments() []string { return append([]string(nil), sweepExperiments...) }
 
-// IsSweep reports whether exp runs through the sharded sweep pipeline.
-func IsSweep(exp string) bool {
-	for _, e := range sweepExperiments {
-		if exp == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Request describes one sweep-family submission. Field names mirror the
 // volabench flags; JSON tags are the service's wire format. The zero value
 // of an optional field means "use the experiment default" (WithDefaults
