@@ -30,9 +30,9 @@
 // -p overrides the platform size (processors) for the sweep experiments
 // (table2, figure2, table3*, largep); 0 keeps each experiment's default.
 //
-// -mode selects the engine time base: slot (per-slot stepping, the default)
-// or event (sojourn-sampled availability with quiet-slot skipping — same
-// statistics, faster on quiet platforms).
+// -mode selects how availability is sampled: slot (one draw per slot, the
+// default) or event (one draw per sojourn — same statistics, fewer draws on
+// quiet platforms). Both step every slot on the same clock.
 package main
 
 import (
@@ -59,7 +59,7 @@ import (
 func main() {
 	var (
 		exp        = flag.String("exp", "table2", "experiment: table2|figure2|table3x5|table3x10|ablation|emctgain|emctgain-norepl|tracesweep|dfrs|largep|moldable")
-		mode       = flag.String("mode", "slot", "engine time base: slot|event (event advances to the next availability transition and skips quiet slots)")
+		mode       = flag.String("mode", "slot", "availability sampling: slot|event (event draws one state per sojourn instead of one per slot)")
 		scenarios  = flag.Int("scenarios", 6, "scenarios per grid cell")
 		trials     = flag.Int("trials", 4, "trials per scenario")
 		procs      = flag.Int("p", 0, "platform size override for sweep experiments (0 = experiment default; largep defaults to 1000)")

@@ -35,7 +35,7 @@ func TestValidateArgsTable(t *testing.T) {
 		// Platform-size overrides: 0 means the experiment default.
 		{"largep-10k", "largep", "event", 1, 1, 0, 10_000, ""},
 		{"table2-p1000", "table2", "slot", 6, 4, 0, 1000, ""},
-		// Every experiment accepts the event time base too.
+		// Every experiment accepts event mode too.
 		{"table2-event", "table2", "event", 6, 4, 0, 0, ""},
 		{"tracesweep-event", "tracesweep", "event", 6, 4, 0, 0, ""},
 		{"dfrs-event", "dfrs", "event", 6, 4, 0, 0, ""},
@@ -86,7 +86,7 @@ func TestUnknownExperimentListsAllNames(t *testing.T) {
 }
 
 // TestUnknownModeListsAllNames pins the -mode fail-fast path the same way:
-// a typo'd time base names every valid mode.
+// a typo'd mode names every valid mode.
 func TestUnknownModeListsAllNames(t *testing.T) {
 	err := validateArgs("table2", "sloot", 1, 1, 0, 0)
 	if err == nil {

@@ -15,7 +15,7 @@ var experiments = sweepreq.Experiments()
 // divide-by-zero summary), a negative -workers would be passed to the
 // pipeline as a nonsense concurrency, and an unknown -exp should name the
 // valid experiments instead of leaving the user to read the source.
-// An unknown -mode is rejected the same way, naming the valid time bases.
+// An unknown -mode is rejected the same way, naming the valid modes.
 // A negative -p (platform-size override) is rejected here too; the library
 // validates again (ScenarioOptions.Validate), but failing pre-profile keeps
 // the CLI contract uniform. It is a flag-shaped wrapper over

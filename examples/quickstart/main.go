@@ -55,8 +55,8 @@ func main() {
 	}
 
 	// Run is shorthand for RunWith and a RunSpec, which carries every other
-	// knob: the time base, a reusable Runner, an allocation policy, explicit
-	// availability vectors, callbacks. The event-driven clock samples
+	// knob: the sampling mode, a reusable Runner, an allocation policy,
+	// explicit availability vectors, callbacks. Event mode samples
 	// availability per sojourn, so its trajectory follows the same models
 	// but is a different draw than slot mode's.
 	ev, err := scn.RunWith(volatile.RunSpec{Heuristic: "emct*", TrialSeed: 1, Mode: volatile.ModeEvent})

@@ -34,8 +34,7 @@ type IterationInfo struct {
 // AllocationPolicy decides the tasks-per-iteration count of a moldable
 // application. It sits alongside Scheduler in the engine's configuration and
 // sees the same View: TasksFor is consulted once per iteration, at the
-// boundary (before the iteration's first scheduling round, and — in event
-// mode — before the quiet-span check can read the pending set), with v
+// boundary (before the iteration's first scheduling round), with v
 // reflecting the worker states at decision time and prev the iteration that
 // just completed. The returned count is clamped to [1, MaxIterTasks].
 //

@@ -47,7 +47,7 @@ func TestParseAllocPolicy(t *testing.T) {
 // TestAllocFixedMatchesNilPolicy is the refactor's behaviour-preservation
 // proof at engine level: a run with the fixed policy must be bit-identical —
 // result, event stream, observer reports — to the same run with no policy
-// at all, in both time bases, with the slow-check oracles armed on the
+// at all, in both modes, with the slow-check oracles armed on the
 // policy side. The only permitted difference is the moldable bookkeeping
 // itself: IterationTasks is recorded (every entry Params.M) instead of nil.
 func TestAllocFixedMatchesNilPolicy(t *testing.T) {
@@ -200,7 +200,7 @@ func TestAllocDecisionProtocol(t *testing.T) {
 
 // cyclingAlloc drives the resize machinery through a fixed size sequence —
 // growth, shrink, and size-1 extremes — as a pure function of the iteration
-// index, so both time bases decide identically.
+// index, so both modes decide identically.
 type cyclingAlloc struct{ sizes []int }
 
 func (c cyclingAlloc) Name() string { return "cycling" }
@@ -211,7 +211,7 @@ func (c cyclingAlloc) TasksFor(v *sim.View, _ sim.IterationInfo) int {
 // TestAllocEngineResizeCrossMode exercises per-iteration grow/shrink of the
 // task tables — including growth past the initial Params.M capacity and
 // shrink to a single task — under the full slow-check oracle set in both
-// time bases, and requires the two modes to agree bit for bit on
+// modes, and requires the two to agree bit for bit on
 // deterministic vector availability.
 func TestAllocEngineResizeCrossMode(t *testing.T) {
 	sizes := []int{1, 7, 3, 19, 2, 11}

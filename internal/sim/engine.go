@@ -39,9 +39,10 @@ type Config struct {
 	// fixed model — every iteration runs exactly Params.M tasks — on the
 	// engine's original code path, byte for byte.
 	Alloc AllocationPolicy
-	// Mode selects the engine's time base: ModeSlot (the default) ticks
-	// every slot; ModeEvent samples availability at sojourn granularity and
-	// skips quiet spans (requires Procs that implement avail.Trajectory).
+	// Mode selects how availability is sampled: ModeSlot (the default)
+	// draws every processor's state once per slot; ModeEvent draws whole
+	// sojourns and requires Procs that implement avail.Trajectory. Both
+	// run on the same clock, which steps every slot.
 	Mode Mode
 	// Observer, when non-nil, is invoked after every slot.
 	Observer func(*SlotReport)
@@ -67,16 +68,6 @@ func (c *Config) validate() error {
 	for i, p := range c.Procs {
 		if p == nil {
 			return fmt.Errorf("sim: nil availability process %d", i)
-		}
-	}
-	if !c.Mode.valid() {
-		return fmt.Errorf("sim: invalid mode %d", c.Mode)
-	}
-	if c.Mode == ModeEvent {
-		for i, p := range c.Procs {
-			if _, ok := p.(avail.Trajectory); !ok {
-				return fmt.Errorf("sim: event mode requires availability processes implementing avail.Trajectory; process %d (%T) does not", i, p)
-			}
 		}
 	}
 	if c.Scheduler == nil {
@@ -109,11 +100,10 @@ type engine struct {
 	params  *platform.Params
 	workers []workerState
 	// states is the struct-of-arrays availability state (one byte per
-	// worker, the companion of workers[i]): the hot scans — slate building,
-	// the event clock's frozen-platform walk, the slow-check recounts — read
-	// only this field, and the dense packing keeps them cache-resident at
-	// volunteer-grid platform sizes. applyState is its only mutation site
-	// after reset.
+	// worker, the companion of workers[i]): the hot scans — slate building
+	// and the slow-check recounts — read only this field, and the dense
+	// packing keeps them cache-resident at volunteer-grid platform sizes.
+	// applyState is its only mutation site after reset.
 	states []avail.State
 	tasks  []taskState
 	slot   int
@@ -158,8 +148,8 @@ type engine struct {
 	chainSet idSet
 	// upSet indexes the UP workers; with the nUp/nFreeUp/nIdleUp counters
 	// it replaces every O(P) availability scan outside the slow-check
-	// oracles: the originals slate, compute's walk, the event clock's
-	// frozen-platform scan, canMaterialize and the per-slot Observer count.
+	// oracles: the originals slate, compute's walk and the per-slot
+	// Observer count.
 	// reindexAvail maintains set and counters at every mutation site.
 	upSet idSet
 	// nUp counts UP workers; nFreeUp the UP workers with a free incoming
@@ -184,17 +174,15 @@ type engine struct {
 	// maintained at the pipeline mutation sites so the scheduling round
 	// reads its n_active base in O(1) instead of recounting all P workers.
 	nBusy int
-	// trajs/pendState/evq implement the event-mode clock (eventclock.go):
-	// trajs are the trajectory views of cfg.Procs, pendState[i] is the
-	// state worker i enters at its queued transition slot, and evq is the
-	// (slot, worker) min-heap of pending transitions.
-	trajs     []avail.Trajectory
+	// trajs/samplers/pendState/evq implement the clock (eventclock.go):
+	// trajs are the per-worker trajectories (cfg.Procs themselves in event
+	// mode, the pooled samplers wrapping them in slot mode), pendState[i] is
+	// the state worker i enters at its queued transition slot, and evq is
+	// the (slot, worker) min-heap of pending transitions.
+	trajs     []trajectory
+	samplers  []slotSampler
 	pendState []avail.State
 	evq       transitionHeap
-	// skipQuiet permits quiet-span skipping: event mode with a scheduler
-	// that does not implement Canceller (a Canceller may act on slots where
-	// no engine state changed, so its slots cannot be skipped).
-	skipQuiet bool
 	// allocPending defers the allocation policy's first decision to the
 	// start of slot 0, after the slot's availability states are applied, so
 	// iteration 0 is sized from real worker states like every later one.
@@ -261,14 +249,12 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	}
 	e := &r.e
 	e.reset(cfg)
-	if cfg.Mode == ModeEvent {
-		if err := e.initEventClock(); err != nil {
-			return nil, err
-		}
+	if err := e.initEventClock(); err != nil {
+		return nil, err
 	}
 
 	maxSlots := cfg.Params.EffectiveMaxSlots()
-	for e.slot = 0; e.slot < maxSlots; {
+	for e.slot = 0; e.slot < maxSlots; e.slot++ {
 		if err := e.step(); err != nil {
 			return nil, err
 		}
@@ -281,7 +267,6 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 				Stats:          e.stats,
 			}, nil
 		}
-		e.slot = e.nextSlot(maxSlots)
 	}
 	return &Result{
 		Completed:      false,
@@ -370,7 +355,6 @@ func (e *engine) reset(cfg Config) {
 
 	e.trajs = e.trajs[:0]
 	e.evq.reset()
-	e.skipQuiet = false
 
 	e.allocPending = cfg.Alloc != nil
 	e.iterStart = 0
@@ -449,19 +433,15 @@ func (e *engine) releaseCopy(c *copyState) {
 
 // step executes one time slot.
 func (e *engine) step() error {
-	if e.cfg.Mode == ModeEvent {
-		if err := e.advanceStatesEvent(); err != nil {
-			return err
-		}
-	} else {
-		e.advanceStates()
+	if err := e.advanceStatesEvent(); err != nil {
+		return err
 	}
 	if e.allocPending {
 		// Moldable runs size iteration 0 here — after the slot's
 		// availability states are applied, before the first scheduling
-		// round — so the policy sees the same decision inputs in both time
-		// bases. Iteration 0's completed-iteration summary is the -1
-		// sentinel (nothing ran yet); stateful policies reset on it.
+		// round — so the policy reads real worker states. Iteration 0's
+		// completed-iteration summary is the -1 sentinel (nothing ran
+		// yet); stateful policies reset on it.
 		e.allocPending = false
 		before := len(e.tasks) // reset sized the tables (and tracker) to Params.M
 		if n := e.decideAlloc(IterationInfo{Iteration: -1}); n != before {
@@ -490,17 +470,6 @@ func (e *engine) step() error {
 		})
 	}
 	return nil
-}
-
-// advanceStates samples this slot's availability states and applies crash
-// consequences.
-func (e *engine) advanceStates() {
-	for i := range e.workers {
-		next := e.cfg.Procs[i].Next()
-		if next != e.states[i] {
-			e.applyState(i, next)
-		}
-	}
 }
 
 // availKey encodes worker i's membership in the availability-derived
@@ -545,9 +514,8 @@ func (e *engine) reindexAvail(i int, was uint8) {
 }
 
 // applyState transitions worker i to next — which callers guarantee differs
-// from its current state — applying crash consequences. It is the single
-// mutation site shared by the slot-mode per-slot scan and the event-mode
-// transition queue, so the two time bases cannot drift on crash semantics.
+// from its current state — applying crash consequences. The clock
+// (eventclock.go) is its only caller.
 func (e *engine) applyState(i int, next avail.State) {
 	w := &e.workers[i]
 	was := e.availKey(i)
@@ -1156,9 +1124,7 @@ func (e *engine) finishSlot() {
 	// slow-check view recount agrees with the zeroed remaining counter. The
 	// resize itself waits until after the defensive drop scan below (it
 	// indexes the holder lists by the old iteration's task IDs); both happen
-	// before the tracker reset, so the event clock's quiet-span check —
-	// which reads the pending set and remaining count right after this
-	// returns — already sees the decided iteration.
+	// before the tracker reset.
 	n := len(e.tasks)
 	if e.cfg.Alloc != nil {
 		n = e.decideAlloc(IterationInfo{

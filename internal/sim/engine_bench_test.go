@@ -44,9 +44,8 @@ func benchReplicationHeavy(b *testing.B, mode sim.Mode) {
 func BenchmarkEngineReplicationHeavy(b *testing.B) { benchReplicationHeavy(b, sim.ModeSlot) }
 
 // BenchmarkEngineReplicationHeavyEvent is the busy-platform worst case for
-// the event clock: transitions are frequent and workers rarely idle, so
-// quiet-slot skipping almost never fires and the heap bookkeeping is pure
-// overhead. The pair bounds the event engine's regression on busy cells.
+// sojourn sampling: transitions are frequent, so the transition queue is
+// busy every slot. The pair compares the two samplers on busy cells.
 func BenchmarkEngineReplicationHeavyEvent(b *testing.B) { benchReplicationHeavy(b, sim.ModeEvent) }
 
 // benchQuietPlatform keeps most of a large platform DOWN, so the dirty set
@@ -85,8 +84,7 @@ func benchQuietPlatform(b *testing.B, mode sim.Mode) {
 
 func BenchmarkEngineQuietPlatform(b *testing.B) { benchQuietPlatform(b, sim.ModeSlot) }
 
-// BenchmarkEngineQuietPlatformEvent is the event clock's home turf: with
-// long DOWN sojourns the simulation should jump across quiet spans instead
-// of stepping 20000 slots, so this pair measures the skip machinery's
-// actual payoff against the same platform in slot mode.
+// BenchmarkEngineQuietPlatformEvent is sojourn sampling's home turf: with
+// long DOWN sojourns event mode saves most of the per-slot draws, so this
+// pair measures what the sampler alone costs on the same platform.
 func BenchmarkEngineQuietPlatformEvent(b *testing.B) { benchQuietPlatform(b, sim.ModeEvent) }

@@ -17,11 +17,11 @@ import (
 // deterministically from seed, so the same (seed, heuristic) pair can be
 // materialized once per mode with independent but identical availability
 // processes and schedulers. With sojourn1, every vector changes state at
-// every slot until the vector ends, so event mode queues a transition for
-// every worker at every slot and can never skip; MaxSlots stays below the
-// vector length so runs never reach the hold-forever tail. Without
-// sojourn1, the vectors carry multi-slot runs and the quiet-skip machinery
-// gets exercised.
+// every slot until the vector ends, so both modes queue a transition for
+// every worker at every slot; MaxSlots stays below the vector length so
+// runs never reach the hold-forever tail. Without sojourn1, the vectors
+// carry multi-slot runs, so the two modes queue different wake-ups for the
+// same states.
 func vectorScenarioConfig(t *testing.T, seed uint64, heuristic string, sojourn1 bool) sim.Config {
 	t.Helper()
 	r := rng.New(seed)
@@ -68,10 +68,8 @@ func vectorScenarioConfig(t *testing.T, seed uint64, heuristic string, sojourn1 
 	return sim.Config{Platform: pl, Params: prm, Procs: procs, Scheduler: sched}
 }
 
-// runBothModes executes the same (seed, heuristic) scenario in slot mode on
-// a plain runner and in event mode on a slow-checked runner (arming the
-// full-rebuild oracles plus the quiet-skip reference check), returning
-// results, event streams and per-slot observer reports for comparison.
+// modeRun is one run's result, event stream and per-slot observer reports,
+// as runMode collects them for comparison.
 type modeRun struct {
 	res     *sim.Result
 	events  []sim.Event
@@ -92,29 +90,30 @@ func runMode(t *testing.T, runner *sim.Runner, cfg sim.Config, mode sim.Mode) mo
 	return out
 }
 
-func compareModes(t *testing.T, seed uint64, h string, slot, event modeRun) bool {
+// compareModes reports whether two runs match bit for bit, logging the
+// first difference between a and b.
+func compareModes(t *testing.T, seed uint64, h string, a, b modeRun) bool {
 	t.Helper()
-	if !reflect.DeepEqual(slot.res, event.res) {
-		t.Logf("seed %d %s: slot result %+v, event result %+v", seed, h, slot.res, event.res)
+	if !reflect.DeepEqual(a.res, b.res) {
+		t.Logf("seed %d %s: results differ: %+v vs %+v", seed, h, a.res, b.res)
 		return false
 	}
-	if !reflect.DeepEqual(slot.events, event.events) {
-		t.Logf("seed %d %s: event streams differ (%d vs %d events)", seed, h, len(slot.events), len(event.events))
+	if !reflect.DeepEqual(a.events, b.events) {
+		t.Logf("seed %d %s: event streams differ (%d vs %d events)", seed, h, len(a.events), len(b.events))
 		return false
 	}
-	if !reflect.DeepEqual(slot.reports, event.reports) {
-		t.Logf("seed %d %s: observer reports differ (%d vs %d reports)", seed, h, len(slot.reports), len(event.reports))
+	if !reflect.DeepEqual(a.reports, b.reports) {
+		t.Logf("seed %d %s: observer reports differ (%d vs %d reports)", seed, h, len(a.reports), len(b.reports))
 		return false
 	}
 	return true
 }
 
 // TestEventModeBitIdenticalSojourn1 pins the strongest cross-mode contract:
-// on availability vectors whose state changes at every slot, event mode
-// degenerates to slot-by-slot execution (no skips, identical per-slot
-// transitions), so every heuristic — including the RNG-consuming random
-// family — must reproduce slot mode bit for bit: same result, same event
-// stream, same observer reports.
+// on availability vectors whose state changes at every slot, both modes
+// apply the identical per-slot transitions, so every heuristic — including
+// the RNG-consuming random family — must reproduce slot mode bit for bit:
+// same result, same event stream, same observer reports.
 func TestEventModeBitIdenticalSojourn1(t *testing.T) {
 	names := append(core.Names(),
 		"passive-emct", "passive-mct", "proactive-emct", "proactive-mct",
@@ -134,20 +133,20 @@ func TestEventModeBitIdenticalSojourn1(t *testing.T) {
 	}
 }
 
-// TestEventModeBitIdenticalDeterministic exercises the quiet-skip machinery:
-// on vectors with multi-slot runs, event mode skips quiet spans, which is
-// invisible to any scheduler that consumes no RNG in Pick — the greedy
-// family, the incremental/deadline variants, the committing passive
-// wrappers, and the proactive wrappers (for which skipping is disabled
-// entirely because Cancel may fire anywhere). All must match slot mode bit
-// for bit while the event engine runs with the slow-check oracles armed
-// (including the quiet-skip reference check).
+// TestEventModeBitIdenticalDeterministic runs the deterministic heuristics —
+// the greedy family, the incremental/deadline variants and the passive and
+// proactive wrappers — on vectors with multi-slot runs, where slot mode's
+// sampler wakes the clock on its doubling schedule and event mode at each
+// sojourn end. Recorded vectors consume no RNG, so the two samplers yield
+// identical states and all must match bit for bit while both engines run
+// with the slow-check oracles armed.
 func TestEventModeBitIdenticalDeterministic(t *testing.T) {
 	names := append(core.GreedyNames(),
 		"remct", "deadline",
 		"passive-emct", "passive-mct", "passive-ud",
 		"proactive-emct", "proactive-mct")
 	slotRunner := sim.NewRunner()
+	slotRunner.EnableSlowChecks()
 	eventRunner := sim.NewRunner()
 	eventRunner.EnableSlowChecks()
 

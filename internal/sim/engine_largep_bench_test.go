@@ -28,8 +28,8 @@ const largePActive = 256
 // 1k to 100k therefore adds only per-run setup (trajectory priming,
 // pooled-buffer zeroing), amortized across the run's slots: event-mode
 // ns/slot must stay in the same band across P, which is the measured
-// acceptance criterion for the O(changes) engine work (quiet-skip checks,
-// dirty-set view rebuilds, holder-list cancels). The slot-mode rows
+// acceptance criterion for the O(changes) engine work (dirty-set view
+// rebuilds, holder-list cancels). The slot-mode rows
 // document the contrast: slot stepping draws one availability sample per
 // worker per slot by definition, so its ns/slot grows linearly with P.
 //

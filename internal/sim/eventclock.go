@@ -6,29 +6,59 @@ import (
 	"repro/internal/avail"
 )
 
-// This file is the event-driven time base (Config.Mode == ModeEvent). Two
-// mechanisms replace the slot loop's flat per-slot costs:
-//
-//   - availability is sampled at sojourn granularity: each processor's
-//     trajectory (avail.Trajectory) yields (state, startSlot) runs, queued
-//     on a (slot, worker) min-heap, so advancing states costs O(changes)
-//     per slot instead of O(P) RNG draws;
-//
-//   - quiet spans are skipped: when a finished slot mutated no
-//     scheduler-visible state and no scheduler decision could bind work on
-//     the frozen platform, every slot before the next queued availability
-//     transition would replay identically, so the clock jumps straight to
-//     that transition (nextSlot).
-//
-// All per-slot mutation sites (crash handling, tracker updates, dirty
-// marks, metrics) are shared with slot mode — event mode only changes when
-// they run, never what they do.
+// This file is the engine's clock, the one time base of every run.
+// Availability changes are queued: each worker's trajectory yields
+// (state, startSlot) runs on a (slot, worker) min-heap, so advancing states
+// costs O(changes) per slot, not O(P). Config.Mode only picks the
+// trajectory (setTrajectories); every slot is stepped in both modes.
+
+// trajectory is the engine's view of one worker's availability: the first
+// call returns the slot-0 state at slot 0, each later call a state and the
+// strictly later slot it holds from. Unlike avail.Trajectory it may repeat
+// the current state (a slotSampler wake-up), which applies as a no-op.
+type trajectory interface {
+	NextTransition() (avail.State, int)
+}
+
+// slotSampler is slot mode's trajectory: it calls the wrapped process's
+// Next once per slot, as the paper's slot loop does, and reports the first
+// slot whose state differs. A call made at slot s draws at most through
+// slot 2s+1 before reporting the unchanged state, so a state that never
+// changes wakes the clock at slots 1, 3, 7, 15, …, and never past the
+// run's final slot: a run ending at slot T reads at most 2T+2 slots of each
+// process, and a censored run exactly the horizon.
+type slotSampler struct {
+	proc    avail.Process
+	final   int // the run's final slot, MaxSlots-1
+	started bool
+	slot    int         // last slot drawn
+	state   avail.State // state at slot
+}
+
+// NextTransition implements trajectory.
+func (s *slotSampler) NextTransition() (avail.State, int) {
+	if !s.started {
+		s.started = true
+		s.state = s.proc.Next()
+		return s.state, 0
+	}
+	if s.slot >= s.final {
+		return s.state, avail.Forever // no later slot runs
+	}
+	for end := min(2*s.slot+1, s.final); s.slot < end; {
+		s.slot++
+		if next := s.proc.Next(); next != s.state {
+			s.state = next
+			return next, s.slot
+		}
+	}
+	return s.state, s.slot
+}
 
 // transitionHeap is a binary min-heap of pending availability transitions
 // ordered by (slot, worker). Same-slot entries pop in ascending worker
-// order, matching advanceStates' ascending-worker loop, so simultaneous
-// transitions apply in the identical order and crash event streams stay
-// bit-identical across modes.
+// order, so simultaneous transitions — and their crash events — apply in
+// ascending worker order whichever trajectory produced them.
 type transitionHeap struct {
 	slot   []int
 	worker []int
@@ -97,28 +127,25 @@ func (h *transitionHeap) pop() (slot, worker int) {
 	return slot, worker
 }
 
-// initEventClock sizes and fills the event clock after reset: one
-// trajectory per worker, its slot-0 state applied directly and its first
+// initEventClock sizes and fills the clock after reset: one trajectory per
+// worker (setTrajectories), its slot-0 state applied directly and its first
 // real transition queued. Applying slot 0 here — in ascending worker order,
 // the same order the queue would drain a slot-0 tie — keeps the heap free
 // of the initial P-way tie, and workers whose slot-0 state holds Forever
 // (a permanently-down volunteer, a recorded vector past its end) never
 // enter the queue at all. That makes priming O(P) with per-worker O(1)
 // instead of the O(P log P) push-pop churn a 100k-worker platform paid on
-// its first slot. Config.validate has already checked every process
-// implements avail.Trajectory.
+// its first slot.
 func (e *engine) initEventClock() error {
 	p := len(e.workers)
-	if cap(e.trajs) < p {
-		e.trajs = make([]avail.Trajectory, 0, p)
-	}
 	if cap(e.pendState) < p {
 		e.pendState = make([]avail.State, p)
 	}
 	e.pendState = e.pendState[:p]
-	for i, proc := range e.cfg.Procs {
-		tr := proc.(avail.Trajectory)
-		e.trajs = append(e.trajs, tr)
+	if err := e.setTrajectories(); err != nil {
+		return err
+	}
+	for i, tr := range e.trajs {
 		s, at := tr.NextTransition()
 		if at != 0 {
 			return fmt.Errorf("sim: availability trajectory %d: first transition at slot %d, want 0", i, at)
@@ -136,16 +163,46 @@ func (e *engine) initEventClock() error {
 		e.pendState[i] = ns
 		e.evq.push(nat, i)
 	}
-	_, canceller := e.cfg.Scheduler.(Canceller)
-	e.skipQuiet = !canceller
+	return nil
+}
+
+// setTrajectories builds the per-worker trajectories. It is the one place
+// Config.Mode is read: event mode drives each process through its own
+// avail.Trajectory, slot mode wraps each in a pooled slotSampler.
+func (e *engine) setTrajectories() error {
+	p := len(e.cfg.Procs)
+	if cap(e.trajs) < p {
+		e.trajs = make([]trajectory, 0, p)
+	}
+	switch e.cfg.Mode {
+	case ModeEvent:
+		for i, proc := range e.cfg.Procs {
+			tr, ok := proc.(avail.Trajectory)
+			if !ok {
+				return fmt.Errorf("sim: event mode requires availability processes implementing avail.Trajectory; process %d (%T) does not", i, proc)
+			}
+			e.trajs = append(e.trajs, tr)
+		}
+	case ModeSlot:
+		if cap(e.samplers) < p {
+			e.samplers = make([]slotSampler, p)
+		}
+		e.samplers = e.samplers[:p]
+		final := e.params.EffectiveMaxSlots() - 1
+		for i, proc := range e.cfg.Procs {
+			e.samplers[i] = slotSampler{proc: proc, final: final}
+			e.trajs = append(e.trajs, &e.samplers[i])
+		}
+	default:
+		return fmt.Errorf("sim: invalid mode %d", e.cfg.Mode)
+	}
 	return nil
 }
 
 // advanceStatesEvent applies the availability transitions due at the
 // current slot and refills the queue from the trajectories. Between queued
 // transitions a worker's state is constant, so slots with no due entry
-// leave every state untouched — exactly what advanceStates computes one
-// Next call at a time, at O(changes) instead of O(P) cost.
+// leave every state untouched, at O(changes) instead of O(P) cost.
 func (e *engine) advanceStatesEvent() error {
 	for {
 		at, ok := e.evq.min()
@@ -166,134 +223,5 @@ func (e *engine) advanceStatesEvent() error {
 		}
 		e.pendState[i] = ns
 		e.evq.push(nat, i)
-	}
-}
-
-// nextSlot returns the slot the run executes after the current one. Slot
-// mode always advances by one. Event mode jumps over quiet spans: between
-// queued availability transitions the platform is frozen except for
-// computations grinding toward known completion slots, so when no chain on
-// an UP worker can advance, no computation is about to emit its start
-// event or finish, and canMaterialize rules out any new binding, every
-// skipped slot would replay identically — same views, same scheduler
-// picks, same evaporating plans — with each computing worker advancing by
-// exactly one compute slot. The clock jumps to the earliest of the next
-// transition, the earliest compute completion, and the horizon, bulk-
-// applying the skipped compute progress. Observer reports for the span are
-// replayed verbatim (reportQuietSpan).
-func (e *engine) nextSlot(maxSlots int) int {
-	if e.cfg.Mode != ModeEvent || !e.skipQuiet {
-		return e.slot + 1
-	}
-	target := maxSlots
-	if at, ok := e.evq.min(); ok && at < maxSlots {
-		target = at
-	}
-	if target <= e.slot+1 {
-		return e.slot + 1
-	}
-	// Scan the frozen platform. A chain still needing channel slots on an
-	// UP worker advances every slot, and a computation that has not started
-	// yet emits EvComputeStart next slot — both force slot-by-slot
-	// execution. Running computations instead bound the jump by their
-	// completion slot: the slot a copy finishes must execute normally.
-	// Only UP workers matter here (a RECLAIMED chain neither advances nor
-	// computes), so the walk covers the UP index — O(nUp), independent of
-	// the platform size once most of a volunteer grid is DOWN.
-	tprog := e.params.Tprog
-	computing := 0
-	for i := e.upSet.min(); i != noWorker; i = e.upSet.next(i) {
-		w := &e.workers[i]
-		if w.needsTransfer(tprog) {
-			return e.slot + 1
-		}
-		if w.computing == nil || !w.hasProgram(tprog) {
-			continue
-		}
-		if w.computing.computeDone == 0 {
-			return e.slot + 1
-		}
-		computing++
-		if end := e.slot + w.proc.W - w.computing.computeDone; end < target {
-			target = end
-		}
-	}
-	if target <= e.slot+1 || e.canMaterialize() {
-		return e.slot + 1
-	}
-	if e.slowChecks {
-		e.verifySkip(target)
-	}
-	// Bulk-replay the skipped slots' compute progress: each one advances
-	// every computing worker by one UP compute slot without completing
-	// (target stops at the earliest completion). The workers carry this
-	// slot's dirty marks, so their views rebuild at target exactly as
-	// slot-by-slot execution would leave them.
-	if computing > 0 {
-		delta := target - e.slot - 1
-		for i := e.upSet.min(); i != noWorker; i = e.upSet.next(i) {
-			w := &e.workers[i]
-			if w.computing != nil && w.hasProgram(tprog) {
-				w.computing.computeDone += delta
-				e.markDirty(i)
-			}
-		}
-		e.stats.ComputeSlots += int64(computing) * int64(delta)
-	}
-	if e.cfg.Observer != nil {
-		e.reportQuietSpan(e.slot+1, target, computing)
-	}
-	return target
-}
-
-// canMaterialize conservatively decides whether any scheduler decision
-// could bind a new copy while worker states stay frozen. It may answer
-// true when the actual scheduler would bind nothing (costing an unskipped
-// slot), but answers false only when no pick could materialize:
-//
-//   - a pending original binds only on an UP worker with a free incoming
-//     slot, and any idle worker is also free, so with no free UP worker
-//     neither originals nor replicas can bind;
-//   - with no pending originals, replicas need the engine's gate (more UP
-//     workers than remaining tasks, replication enabled), an idle UP
-//     worker, and a live task below the copy cap (leastCovered, exact
-//     outside rounds since schedule undoes the planning overlay).
-//
-// Channel capacity never blocks a quiet slot's binding: a chain on an UP
-// worker would have advanced and dirtied the slot, so all Ncom >= 1
-// channels are free.
-//
-// Every input is an incrementally maintained counter (reindexAvail) or an
-// O(copyCap) bucket probe, so the check is O(1) in both P and m — it used
-// to rescan all P workers on every quiet-skip attempt, which made skipping
-// itself an O(P) per-slot cost (the verifySkip slow check still recounts
-// the counters against raw state).
-func (e *engine) canMaterialize() bool {
-	if !e.trk.pendEmpty() {
-		return e.nFreeUp > 0
-	}
-	if e.params.MaxReplicas == 0 || e.nIdleUp == 0 || e.nUp <= e.trk.remaining {
-		return false
-	}
-	t, _ := e.trk.leastCovered(1 + e.params.MaxReplicas)
-	return t != noTask
-}
-
-// reportQuietSpan replays the Observer reports for the skipped slots
-// [from, to). A quiet slot's report is fully determined by state the skip
-// preconditions freeze — no transfers, a constant set of computing
-// workers, a constant UP count and cumulative completion count — so the
-// replayed reports are identical to what slot-by-slot execution would
-// emit.
-func (e *engine) reportQuietSpan(from, to, computing int) {
-	rep := SlotReport{
-		Iteration:        e.iter,
-		UpWorkers:        e.nUp,
-		ComputingWorkers: computing,
-		TasksCompleted:   e.stats.TasksCompleted,
-	}
-	for s := from; s < to; s++ {
-		rep.Slot = s
-		e.cfg.Observer(&rep)
 	}
 }

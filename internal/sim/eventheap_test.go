@@ -30,8 +30,8 @@ func drainHeap(t *testing.T, h *transitionHeap) []heapEntry {
 // TestTransitionHeapPopOrder drives random push/pop interleavings and checks
 // the pop sequence against a stable sort reference on (slot, worker) —
 // including batches where many workers share the same transition slot, the
-// case whose worker-order tie-break keeps event mode's crash stream aligned
-// with slot mode's ascending-worker scan.
+// case whose worker-order tie-break applies simultaneous transitions, and
+// their crash events, in ascending worker order.
 func TestTransitionHeapPopOrder(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -63,8 +63,8 @@ func TestTransitionHeapPopOrder(t *testing.T) {
 	}
 }
 
-// TestTransitionHeapInterleaved alternates pushes and pops (the event
-// clock's real access pattern: pop a due transition, push the worker's next
+// TestTransitionHeapInterleaved alternates pushes and pops (the clock's
+// real access pattern: pop a due transition, push the worker's next
 // one) and checks every pop is the minimum of the live set.
 func TestTransitionHeapInterleaved(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {

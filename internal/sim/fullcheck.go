@@ -143,8 +143,8 @@ func (e *engine) verifyChains() {
 
 // verifyCounters recounts every availability-derived index against the raw
 // engine tables: the UP set and the nUp/nFreeUp/nIdleUp counters
-// (reindexAvail's bookkeeping, consumed by the slate build, canMaterialize,
-// reportQuietSpan and the per-slot Observer), and the per-task holder lists
+// (reindexAvail's bookkeeping, consumed by the slate build and the per-slot
+// Observer), and the per-task holder lists
 // (the completion pass's sibling index). Any drift means a mutation site
 // skipped its availKey/reindexAvail wrap or a holder update.
 func (e *engine) verifyCounters() {
@@ -272,76 +272,5 @@ func (e *engine) verifyLeastCovered(got, gotCopies, copyCap int) {
 	if best != got || bestCopies != gotCopies {
 		panic(fmt.Sprintf("sim: slot %d: bucket queue picked task %d (%d copies), full scan picks %d (%d copies)",
 			e.slot, got, gotCopies, best, bestCopies))
-	}
-}
-
-// verifySkip re-derives the quiet-skip preconditions from the raw tables
-// before nextSlot jumps over [slot+1, target): the dirty set must be
-// empty, no UP worker may hold an advanceable transfer chain (it would
-// have dirtied the slot), the reference materialization test recomputed
-// from the task table must agree nothing can bind, and every queued
-// availability transition must lie at or beyond the jump target.
-func (e *engine) verifySkip(target int) {
-	e.verifyCounters()
-	copyCap := 1 + e.params.MaxReplicas
-	pending, replicable, remaining := false, false, 0
-	for t := range e.tasks {
-		ts := &e.tasks[t]
-		if ts.completed {
-			continue
-		}
-		remaining++
-		if ts.copies == 0 {
-			pending = true
-		} else if ts.copies < copyCap {
-			replicable = true
-		}
-	}
-	up, idle, freeUp := 0, 0, false
-	for i := range e.workers {
-		w := &e.workers[i]
-		if e.states[i] != avail.Up {
-			continue
-		}
-		up++
-		if w.incoming == nil {
-			freeUp = true
-		}
-		if !w.busy() {
-			idle++
-		}
-		if w.needsTransfer(e.params.Tprog) {
-			panic(fmt.Sprintf("sim: slot %d: quiet skip with an advanceable chain on UP worker %d",
-				e.slot, i))
-		}
-		// A running computation must have started (its start event already
-		// emitted) and must not complete strictly inside the span: the
-		// completion slot executes normally, so target may at most reach it.
-		if w.computing != nil && w.hasProgram(e.params.Tprog) {
-			if w.computing.computeDone <= 0 {
-				panic(fmt.Sprintf("sim: slot %d: quiet skip over an unstarted computation on worker %d",
-					e.slot, i))
-			}
-			if end := e.slot + w.proc.W - w.computing.computeDone; end < target {
-				panic(fmt.Sprintf("sim: slot %d: quiet skip to %d over worker %d's completion at %d",
-					e.slot, target, i, end))
-			}
-		}
-	}
-	materializable := false
-	if pending {
-		materializable = freeUp
-	} else if e.params.MaxReplicas > 0 && replicable && idle > 0 && up > remaining {
-		materializable = true
-	}
-	if materializable {
-		panic(fmt.Sprintf("sim: slot %d: quiet skip to %d but the reference test says a copy could bind",
-			e.slot, target))
-	}
-	for k := 0; k < e.evq.len(); k++ {
-		if e.evq.slot[k] < target {
-			panic(fmt.Sprintf("sim: slot %d: quiet skip to %d over a transition queued at %d",
-				e.slot, target, e.evq.slot[k]))
-		}
 	}
 }

@@ -5,22 +5,22 @@ import (
 	"strings"
 )
 
-// Mode selects the engine's time base.
+// Mode selects how availability is sampled. It is only a sampling
+// granularity: both modes run on the same clock, which steps every slot.
 type Mode uint8
 
 const (
-	// ModeSlot ticks the simulation one slot at a time, sampling every
-	// processor's availability each slot — the paper's literal model and
+	// ModeSlot draws every processor's availability once per slot through
+	// avail.Process.Next — the paper's literal per-slot Markov chain and
 	// the reference semantics. The zero value, so configurations that never
-	// mention a mode keep their exact historical behaviour.
+	// mention a mode keep their exact historical results.
 	ModeSlot Mode = iota
-	// ModeEvent samples availability at sojourn granularity (one draw per
-	// state run instead of one per slot) and skips quiet spans — runs of
-	// slots in which no scheduler-visible state changes and no scheduler
-	// decision could bind work. Results are distribution-identical to slot
-	// mode but not bit-identical for Markov platforms, because the RNG is
-	// consumed per transition rather than per slot; on recorded vectors
-	// with deterministic schedulers the two modes match exactly.
+	// ModeEvent draws availability at sojourn granularity through
+	// avail.Trajectory (one draw per state run instead of one per slot).
+	// Results are distribution-identical to slot mode but not bit-identical
+	// for Markov platforms, because the RNG is consumed per transition
+	// rather than per slot; on recorded vectors, which consume no RNG, the
+	// two modes match exactly for every scheduler.
 	ModeEvent
 )
 
@@ -37,9 +37,6 @@ func (m Mode) String() string {
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
-
-// valid reports whether m is a defined mode.
-func (m Mode) valid() bool { return int(m) < len(modeNames) }
 
 // ParseMode parses a mode name, failing fast with the list of valid names —
 // the same contract CLI flag validation uses for experiment names.

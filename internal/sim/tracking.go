@@ -69,9 +69,6 @@ func (k *taskTracker) pendFirst() int { return k.pending.min() }
 // pendAfter returns the lowest pending task ID greater than t, or noTask.
 func (k *taskTracker) pendAfter(t int) int { return k.pending.next(t) }
 
-// pendEmpty reports whether no original is pending.
-func (k *taskTracker) pendEmpty() bool { return k.pending.empty() }
-
 // pendRemove removes t from the pending index.
 func (k *taskTracker) pendRemove(t int) { k.pending.remove(t) }
 

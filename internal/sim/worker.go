@@ -21,10 +21,10 @@ type copyState struct {
 
 // workerState is the dynamic state of one worker processor. The
 // availability state itself lives in the engine's struct-of-arrays
-// e.states (one byte per worker): the hot loops — slate building, the
-// event clock's frozen-platform scan, the slow-check recounts — read
-// only the state, and packing those into a dense array keeps the scans
-// cache-resident at volunteer-grid platform sizes.
+// e.states (one byte per worker): the hot loops — slate building and the
+// slow-check recounts — read only the state, and packing those into a
+// dense array keeps the scans cache-resident at volunteer-grid platform
+// sizes.
 type workerState struct {
 	proc *platform.Processor
 	// analytics is the interned per-model cache the scheduler view exposes.

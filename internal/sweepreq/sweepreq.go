@@ -49,7 +49,7 @@ type Request struct {
 	// tracesweep, dfrs, largep; the CLI additionally runs ablation and
 	// emctgain*, which Build rejects).
 	Exp string `json:"exp"`
-	// Mode is the engine time base: "slot" (default) or "event".
+	// Mode is the availability sampling: "slot" (default) or "event".
 	Mode string `json:"mode,omitempty"`
 	// Scenarios and Trials scale the sweep (defaults 6 and 4, the
 	// volabench flag defaults; the paper uses 247 × 10).

@@ -48,7 +48,7 @@ func TestScenarioOptionsValidate(t *testing.T) {
 
 // TestLargePConfigSweepRuns exercises the volunteer-grid family end to end
 // at a CI-sized platform: every instance must complete (or be censored)
-// without error in both time bases, and the two runs of the same seed must
+// without error in both modes, and the two runs of the same seed must
 // agree row for row — the large-P path inherits the determinism contract.
 func TestLargePConfigSweepRuns(t *testing.T) {
 	if testing.Short() {

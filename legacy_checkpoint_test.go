@@ -3,6 +3,7 @@ package volatile
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,28 @@ func TestLegacyCheckpointsResume(t *testing.T) {
 				t.Fatalf("resumed %s sweep drifted:\n got  %s\n want %s", c.family, got, c.want)
 			}
 		})
+	}
+}
+
+// TestSkippingEngineEventCheckpointRefused resumes an event-mode checkpoint
+// of a sweep with a random-family heuristic written by the engine that
+// skipped quiet spans (and with them the random family's Pick draws), a
+// committer crash after 3 of 6 chunks. Its chunks hold results the current
+// engine does not produce, so the resume must fail on the config digest
+// rather than splice them into the sweep.
+func TestSkippingEngineEventCheckpointRefused(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "skipping-engine-event-random.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "resume.ckpt")
+	if err := os.WriteFile(path, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := resumeTestConfig()
+	cfg.Mode = ModeEvent
+	cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "different sweep config") {
+		t.Fatalf("checkpoint of the skipping engine resumed: %v", err)
 	}
 }

@@ -101,7 +101,7 @@ func TestMoldableSweepGoldenAndWorkerDeterminism(t *testing.T) {
 }
 
 // TestMoldableSweepCrossModeAndPolicies smoke-runs every policy family in
-// both engine time bases and checks the family invariants: runs complete,
+// both sampling modes and checks the family invariants: runs complete,
 // and each policy's digest is internally reproducible.
 func TestMoldableSweepCrossModeAndPolicies(t *testing.T) {
 	for _, alloc := range []string{"fixed", "maximum-iters", "split-into:3", "reshape:1"} {

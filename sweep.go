@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,10 +38,11 @@ type SweepConfig struct {
 	Trials int
 	// Options tunes scenario generation (CommScale for Table 3, etc.).
 	Options ScenarioOptions
-	// Mode selects the engine time base (default ModeSlot). Event mode is
-	// distribution-equivalent but consumes the availability RNG streams at
-	// sojourn granularity, so sweep aggregates differ from slot mode within
-	// sampling noise; see EXPERIMENTS.md.
+	// Mode selects how availability is sampled (default ModeSlot: once per
+	// slot). Event mode samples per sojourn: distribution-equivalent, but it
+	// consumes the availability RNG streams differently, so sweep
+	// aggregates differ from slot mode within sampling noise; see
+	// EXPERIMENTS.md.
 	Mode Mode
 	// Alloc, when non-empty, makes every run moldable under this
 	// allocation-policy spec ("fixed", "maximum-iters", "split-into[:parts]",
@@ -202,12 +204,32 @@ func (cfg SweepConfig) planWith(heuristics []string) (*sweepPlan, error) {
 		}
 		sp.extras = append(sp.extras, "alloc "+pol.Name())
 	}
+	if cfg.Mode == ModeEvent && drawsPerPick(heuristics) {
+		// Event mode used to skip quiet spans for every scheduler without
+		// Cancel, which also skipped these heuristics' per-slot Pick draws;
+		// now every slot is stepped, so their event-mode results moved. The
+		// tag keeps checkpoints and cached results of the skipping engine
+		// from resuming or being served. Other configs were exact either way
+		// and keep their digest.
+		sp.extras = append(sp.extras, "clock steps every slot")
+	}
 	return &sweepPlan{
 		sourcePlan: sp,
 		heuristics: heuristics,
 		digest: sweepConfigDigest(sp.flavour, cfg.Cells, heuristics,
 			cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, sp.extras...),
 	}, nil
+}
+
+// drawsPerPick reports whether any heuristic is one of the random family
+// (passive-random included), whose picks draw from the run's stream.
+func drawsPerPick(heuristics []string) bool {
+	for _, h := range heuristics {
+		if strings.HasPrefix(strings.TrimPrefix(h, "passive-"), "random") {
+			return true
+		}
+	}
+	return false
 }
 
 // instanceRunner executes one (cell, scenario, trial) instance, filling ir
@@ -696,7 +718,7 @@ func Table3Config(commScale, scenarios, trials int, seed uint64) SweepConfig {
 // so the originals phase exercises full-width rounds) with a quarter-width
 // communication budget, restricted to the informed greedy pairs whose
 // incremental scoring and heap argmin carry that scale. Combine with
-// ModeEvent for sojourn-granularity stepping; see EXPERIMENTS.md ("Large
+// ModeEvent for sojourn-granularity sampling; see EXPERIMENTS.md ("Large
 // platforms") for expected runtimes per P.
 func LargePConfig(processors, scenarios, trials int, seed uint64) SweepConfig {
 	ncom := processors / 4

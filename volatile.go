@@ -123,13 +123,13 @@ func Heuristics() []string { return core.Names() }
 // their uncorrected counterparts).
 func GreedyHeuristics() []string { return core.GreedyNames() }
 
-// Mode selects the engine's time base: ModeSlot ticks every slot (the
-// reference semantics and the default), ModeEvent samples availability at
-// sojourn granularity and skips quiet spans. See the sim package for the
-// equivalence contract between the two.
+// Mode selects how availability is sampled: ModeSlot draws once per slot
+// (the reference semantics and the default), ModeEvent once per sojourn.
+// Both run on the same clock, which steps every slot. See the sim package
+// for the equivalence contract between the two.
 type Mode = sim.Mode
 
-// Engine time bases re-exported for mode selection.
+// Sampling modes re-exported for mode selection.
 const (
 	ModeSlot  = sim.ModeSlot
 	ModeEvent = sim.ModeEvent
@@ -321,11 +321,11 @@ type RunSpec struct {
 	// randomness: the same (scenario, TrialSeed) pair confronts every
 	// heuristic with the same world.
 	TrialSeed uint64
-	// Mode selects the engine time base (default ModeSlot). The trial RNG
-	// discipline is identical in both modes, but event mode consumes the
-	// per-processor streams at sojourn rather than slot granularity, so
-	// Markov-driven results are distribution-equivalent, not bit-identical,
-	// across modes.
+	// Mode selects how availability is sampled (default ModeSlot). The
+	// trial RNG discipline is identical in both modes, but event mode
+	// consumes the per-processor streams at sojourn rather than slot
+	// granularity, so Markov-driven results are distribution-equivalent,
+	// not bit-identical, across modes.
 	Mode Mode
 	// Runner, when non-nil, recycles engine buffers, trial resources and
 	// schedulers across runs; results are identical without one.
