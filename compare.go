@@ -3,12 +3,13 @@ package volatile
 // DFRS-style experiments: the batch-scheduling baselines of internal/batch
 // run head-to-head against the paper's fractional heuristics ("Dynamic
 // Fractional Resource Scheduling vs. Batch Scheduling", Casanova, Stillwell,
-// Vivien). A sweep with a CompareSource confronts, per instance, every
-// fractional heuristic AND every batch discipline with the same
-// availability trajectories, so the dfb metric directly prices batch
-// allocation against fine-grained scheduling; BatchSweep ranks the batch
-// disciplines alone. Both run through runSharded, so results are
-// bit-identical for every worker count.
+// Vivien). A batch discipline name is a RunSpec.Heuristic like any other:
+// its runs ride the same availability clock, in the same Mode, on the same
+// trajectories. A sweep with a CompareSource confronts, per instance, every
+// fractional heuristic AND every batch discipline with that one world, so
+// the dfb metric directly prices batch allocation against fine-grained
+// scheduling; BatchSweep ranks the batch disciplines alone. Both run
+// through runSharded, so results are bit-identical for every worker count.
 
 import (
 	"fmt"
@@ -30,26 +31,17 @@ const (
 // BatchDisciplines lists every implemented batch discipline name.
 func BatchDisciplines() []string { return []string{BatchFCFS, BatchEASY} }
 
-// parseDiscipline resolves a discipline name.
-func parseDiscipline(name string) (batch.Discipline, error) {
-	switch name {
-	case BatchFCFS:
-		return batch.FCFS, nil
-	case BatchEASY:
-		return batch.EASY, nil
-	}
-	return 0, fmt.Errorf("volatile: unknown batch discipline %q (want %q or %q)",
-		name, BatchFCFS, BatchEASY)
-}
+// disciplines resolves the batch discipline names.
+var disciplines = map[string]batch.Discipline{BatchFCFS: batch.FCFS, BatchEASY: batch.EASY}
 
 // CompareSource adds batch contenders to a Markov sweep: every instance
 // first runs each fractional heuristic, then each batch discipline, all on
-// the same availability trajectories (the trial seed re-materializes the
-// same world for every contender), so the per-instance best — and with it
-// each row's dfb — is taken over the union of both scheduler families.
-// The batch side always runs its own slot-exact simulator: the sweep's
-// Mode and Alloc apply to the fractional side only, and batch jobs are
-// never replicated (Options.MaxReplicas).
+// the same availability trajectories in the sweep's Mode (the trial seed
+// re-materializes the same world for every contender), so the
+// per-instance best — and with it each row's dfb — is taken over the union
+// of both scheduler families. Batch jobs are rigid and never replicated:
+// the sweep's Alloc and Options.MaxReplicas apply to the fractional side
+// only.
 type CompareSource struct {
 	// Disciplines are the batch discipline names (default: both).
 	Disciplines []string
@@ -64,8 +56,9 @@ func (src CompareSource) resolve(*SweepConfig) (sourcePlan, error) {
 	}
 	extras := make([]string, len(names))
 	for i, name := range names {
-		if _, err := parseDiscipline(name); err != nil {
-			return sourcePlan{}, err
+		if _, ok := disciplines[name]; !ok {
+			return sourcePlan{}, fmt.Errorf("volatile: unknown batch discipline %q (want %q or %q)",
+				name, BatchFCFS, BatchEASY)
 		}
 		extras[i] = "discipline " + name
 	}
@@ -94,44 +87,6 @@ func BatchSweep(cfg SweepConfig) (*SweepResult, error) {
 	return runSharded(cfg, p)
 }
 
-// runBatch executes one batch run on the trajectories the given trial seed
-// denotes — the same world every fractional heuristic of that (scenario,
-// trial) instance faces — on the Runner's pooled trial resources and batch
-// engine.
-func (s *Scenario) runBatch(rn *Runner, discipline string, trialSeed uint64) (*batch.Result, error) {
-	d, err := parseDiscipline(discipline)
-	if err != nil {
-		return nil, err
-	}
-	rn.trialRng.Reseed(trialSeed)
-	procs := rn.trials.Trial(s.inner, &rn.trialRng)
-	return rn.batch.Run(batch.Config{
-		Platform:   s.inner.Platform,
-		Params:     s.inner.Params,
-		Procs:      procs,
-		Discipline: d,
-	})
-}
-
-// RunBatch executes one batch-discipline run on the scenario (name:
-// BatchFCFS or BatchEASY) against the same world the fractional
-// heuristics see for this trial seed — the single-run counterpart of a
-// CompareSource sweep, for walkthroughs and spot checks.
-func (s *Scenario) RunBatch(discipline string, trialSeed uint64) (*RunResult, error) {
-	res, err := s.runBatch(NewRunner(), discipline, trialSeed)
-	if err != nil {
-		return nil, err
-	}
-	// Surface the batch outcome through the common RunResult shape so
-	// callers compare makespans uniformly; batch-specific counters live in
-	// batch.Result and are not carried over.
-	return &RunResult{
-		Completed:     res.Completed,
-		Makespan:      res.Makespan,
-		IterationEnds: res.IterationEnds,
-	}, nil
-}
-
 // CompareCellRow is one grid cell of a batch-vs-fractional report: the best
 // average dfb achieved by each family in that cell and the gap between
 // them (positive gap = batch trails fractional).
@@ -152,10 +107,6 @@ type CompareCellRow struct {
 // batch-vs-fractional columns: for every cell, the best fractional row
 // versus the best batch row. Cells are ordered by (Tasks, Ncom, Wmin).
 func CompareCells(res *SweepResult) []CompareCellRow {
-	isBatch := func(name string) bool {
-		_, err := parseDiscipline(name)
-		return err == nil
-	}
 	cells := make([]Cell, 0, len(res.ByCell))
 	for c := range res.ByCell {
 		cells = append(cells, c)
@@ -175,7 +126,7 @@ func CompareCells(res *SweepResult) []CompareCellRow {
 		// Rows are sorted by ascending dfb, so the first hit per family is
 		// that family's winner.
 		for _, r := range res.ByCell[c] {
-			if isBatch(r.Name) {
+			if _, isBatch := disciplines[r.Name]; isBatch {
 				if row.BestBatch == "" {
 					row.BestBatch, row.BatchDFB = r.Name, r.AvgDFB
 				}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/avail"
 )
 
 // goldenCompareDigest pins the exact numeric output of the fixed-seed DFRS
@@ -164,64 +166,138 @@ func TestCompareSweepValidation(t *testing.T) {
 		t.Error("BatchSweep accepted zero trials")
 	}
 
-	if _, err := (&Scenario{}).RunBatch("batch-sjf", 1); err == nil {
-		t.Error("RunBatch accepted unknown discipline")
+	if _, err := (&Scenario{}).Run("batch-sjf", 1); err == nil {
+		t.Error("Run accepted unknown discipline")
+	}
+	scn := NewScenario(5, Cell{Tasks: 5, Ncom: 5, Wmin: 1}, ScenarioOptions{Processors: 4, Iterations: 1})
+	pol, err := ParseAllocPolicy("maximum-iters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]RunSpec{
+		"Alloc":    {Alloc: pol},
+		"Observer": {Observer: func(*SlotReport) {}},
+		"OnEvent":  {OnEvent: func(Event) {}},
+	} {
+		spec.Heuristic = BatchEASY
+		if _, err := scn.RunWith(spec); err == nil {
+			t.Errorf("batch run accepted %s", name)
+		}
 	}
 }
 
-// TestRunBatchMatchesCompareSweepWorld pins that the single-run RunBatch
-// entry point sees the same world as a comparison-sweep instance: same
-// scenario seed + trial seed → same batch makespan as the sweep recorded.
+// TestRunBatchMatchesCompareSweepWorld pins that a single batch run through
+// RunWith sees the same world as a comparison-sweep instance of the same
+// Mode: same scenario seed + trial seed → the batch dfb the sweep recorded.
 func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 	cell := Cell{Tasks: 5, Ncom: 5, Wmin: 2}
 	opt := ScenarioOptions{Processors: 6, Iterations: 2}
 	seed := uint64(99)
-
-	res, err := RunSweep(SweepConfig{
-		Cells: []Cell{cell}, Heuristics: []string{"mct"}, Scenarios: 1, Trials: 1,
-		Options: opt, Seed: seed, Source: CompareSource{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	scn := NewScenario(deriveSeed(seed, 0, 0, 0xA11CE), cell, opt)
 	trialSeed := deriveSeed(seed, 0, 0, 0)
-	for _, d := range BatchDisciplines() {
-		direct, err := scn.RunBatch(d, trialSeed)
+
+	for _, mode := range []Mode{ModeSlot, ModeEvent} {
+		res, err := RunSweep(SweepConfig{
+			Cells: []Cell{cell}, Heuristics: []string{"mct"}, Scenarios: 1, Trials: 1,
+			Options: opt, Mode: mode, Seed: seed, Source: CompareSource{},
+		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		makespans := make(map[string]int)
+		for _, name := range append([]string{"mct"}, BatchDisciplines()...) {
+			r, err := scn.RunWith(RunSpec{Heuristic: name, TrialSeed: trialSeed, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Makespan <= 0 {
+				t.Fatalf("%v %s: non-positive makespan %d", mode, name, r.Makespan)
+			}
+			makespans[name] = r.Makespan
 		}
 		// The sweep's per-instance makespans are folded into dfb, so verify
 		// through the overall ranking: recompute this single instance's dfb
 		// from the direct runs and compare.
-		if direct.Makespan <= 0 {
-			t.Fatalf("%s: non-positive makespan %d", d, direct.Makespan)
+		checkBatchDFB(t, mode, res, makespans)
+	}
+}
+
+// checkBatchDFB requires each batch discipline's dfb in a one-instance
+// sweep result to equal the dfb recomputed from the given makespans of all
+// the instance's contenders.
+func checkBatchDFB(t *testing.T, mode Mode, res *SweepResult, makespans map[string]int) {
+	t.Helper()
+	best := math.MaxInt
+	for _, m := range makespans {
+		best = min(best, m)
+	}
+	for _, d := range BatchDisciplines() {
+		want := 100 * float64(makespans[d]-best) / float64(best)
+		got, ok := rowValue(res.Overall, d)
+		if !ok {
+			t.Fatalf("%v: %s missing from sweep ranking", mode, d)
 		}
-		mct, err := scn.Run("mct", trialSeed)
+		if got != want {
+			t.Errorf("%v %s: sweep dfb %v != direct-run dfb %v", mode, d, got, want)
+		}
+	}
+}
+
+// TestEventCompareSweepPairsBatchWorld pins that an event-mode comparison
+// sweep confronts the batch disciplines with the heuristics' world: the
+// trial's event-mode trajectories, expanded to per-slot vectors and
+// replayed through RunSpec.Vectors in slot mode, reproduce the sweep's
+// batch dfb exactly. A batch engine sampling its own per-slot trajectories
+// would face a different world and miss it.
+func TestEventCompareSweepPairsBatchWorld(t *testing.T) {
+	cell := Cell{Tasks: 5, Ncom: 5, Wmin: 2}
+	opt := ScenarioOptions{Processors: 6, Iterations: 2}
+	seed := uint64(99)
+	res, err := RunSweep(SweepConfig{
+		Cells: []Cell{cell}, Heuristics: []string{"mct"}, Scenarios: 1, Trials: 1,
+		Options: opt, Mode: ModeEvent, Seed: seed, Source: CompareSource{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := NewScenario(deriveSeed(seed, 0, 0, 0xA11CE), cell, opt)
+	trialSeed := deriveSeed(seed, 0, 0, 0)
+
+	// Expand the trial's sojourns into per-slot vectors. Replayed vectors
+	// hold their last state, so every replayed run must end before the
+	// horizon for the replay to be the same world.
+	const horizon = 5000
+	_, procs := scn.world(NewRunner(), trialSeed, nil)
+	vectors := make([]string, len(procs))
+	for i, p := range procs {
+		tr := p.(avail.Trajectory)
+		v := make(avail.Vector, horizon)
+		s, _ := tr.NextTransition()
+		next, at := tr.NextTransition()
+		for k := range v {
+			if k == at {
+				s = next
+				next, at = tr.NextTransition()
+			}
+			v[k] = s
+		}
+		vectors[i] = v.String()
+	}
+
+	mct, err := scn.RunWith(RunSpec{Heuristic: "mct", TrialSeed: trialSeed, Mode: ModeEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makespans := map[string]int{"mct": mct.Makespan}
+	for _, d := range BatchDisciplines() {
+		r, err := scn.RunWith(RunSpec{Heuristic: d, TrialSeed: trialSeed, Vectors: vectors})
 		if err != nil {
 			t.Fatal(err)
 		}
-		best := direct.Makespan
-		for _, other := range BatchDisciplines() {
-			r, err := scn.RunBatch(other, trialSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Makespan < best {
-				best = r.Makespan
-			}
+		if !r.Completed || r.Makespan >= horizon {
+			t.Fatalf("%s: replay ran %d slots, past the %d-slot vectors", d, r.Makespan, horizon)
 		}
-		if mct.Makespan < best {
-			best = mct.Makespan
-		}
-		wantDFB := 100 * float64(direct.Makespan-best) / float64(best)
-		got, ok := rowValue(res.Overall, d)
-		if !ok {
-			t.Fatalf("%s missing from sweep ranking", d)
-		}
-		if got != wantDFB {
-			t.Errorf("%s: sweep dfb %v != direct-run dfb %v", d, got, wantDFB)
-		}
+		makespans[d] = r.Makespan
 	}
+	checkBatchDFB(t, ModeEvent, res, makespans)
 }

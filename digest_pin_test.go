@@ -60,6 +60,11 @@ var pinnedDigests = []struct {
 	{"dfrs", sweepreq.Request{Exp: "dfrs"},
 		"ecdcdbe95baf1581ffc2dfbb15d632312940bb9a30b64d8dbfbc544e05e5482f",
 		"4b48c2f92738e094014bac829cb7317b1f2f884ad0113b0df66b3b82d68cb631"},
+	// Captured when the batch contenders joined the sweep's clock; an
+	// event-mode dfrs sweep differs from the one before in both digests.
+	{"dfrs-event", sweepreq.Request{Exp: "dfrs", Mode: "event"},
+		"4142244084ed32850be88f267274d85d84eb29ce83517e9d4c28d71cc72f9f31",
+		"4a342e5555537380f221f6776fe34ec10a426f84c8e4f343eed233c8d941356d"},
 	{"largep", sweepreq.Request{Exp: "largep", Procs: 200, Mode: "event"},
 		"edab48bcffc73f6f89dde9484054ccd7379d490a3b08c2676b8ee8567226c527",
 		"8a11ea374b2eed73386dd59a0446ef16a6305c3c22353e4859fbfb4607dba043"},

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,8 +144,9 @@ func TestTraceSweepCrossModeBitIdentical(t *testing.T) {
 }
 
 // TestRunTraceModeBitIdentical pins the single-run trace contract across
-// the public one-shot and pooled entry points: deterministic heuristics on
-// explicit vectors match bit for bit across modes and across Runner reuse.
+// the public one-shot and pooled entry points: deterministic heuristics and
+// the batch disciplines on explicit vectors match bit for bit across modes
+// and across Runner reuse.
 func TestRunTraceModeBitIdentical(t *testing.T) {
 	scn := NewScenario(7, Cell{Tasks: 6, Ncom: 3, Wmin: 2}, ScenarioOptions{Processors: 4, Iterations: 2})
 	vectors := []string{
@@ -154,7 +156,10 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		"dddddddddd" + strings.Repeat("u", 70),
 	}
 	rn := NewRunner() // reused across heuristics
-	for _, h := range []string{"emct*", "mct", "lw*", "ud"} {
+	same := func(a, b *RunResult) bool {
+		return a.Makespan == b.Makespan && a.Stats == b.Stats && slices.Equal(a.IterationEnds, b.IterationEnds)
+	}
+	for _, h := range []string{"emct*", "mct", "lw*", "ud", BatchFCFS, BatchEASY} {
 		spec := RunSpec{Heuristic: h, TrialSeed: 3, Vectors: vectors}
 		slot, err := scn.RunWith(spec)
 		if err != nil {
@@ -165,7 +170,7 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slot.Makespan != event.Makespan || slot.Stats != event.Stats {
+		if !same(slot, event) {
 			t.Errorf("%s: slot %+v, event %+v", h, slot, event)
 		}
 		spec.Runner = rn
@@ -173,7 +178,7 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled.Makespan != event.Makespan || pooled.Stats != event.Stats {
+		if !same(pooled, event) {
 			t.Errorf("%s: pooled event %+v, one-shot event %+v", h, pooled, event)
 		}
 	}

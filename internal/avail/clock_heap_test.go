@@ -1,4 +1,4 @@
-package sim
+package avail
 
 import (
 	"math/rand"

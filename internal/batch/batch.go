@@ -29,8 +29,9 @@
 //
 // The engine shares the paper's machine model (discrete slots, UP /
 // RECLAIMED / DOWN workers, program + per-task data transfers bounded by
-// the master's ncom budget) so batch and fractional runs are comparable
-// slot for slot.
+// the master's ncom budget) and the fractional engine's availability
+// clock (avail.Clock), so batch and fractional runs of one Mode on the same
+// processes are comparable slot for slot.
 package batch
 
 import (
@@ -77,6 +78,9 @@ type Config struct {
 	// in platform order — pass the same trajectories a fractional run saw
 	// to compare the two on identical worlds.
 	Procs []avail.Process
+	// Mode selects how availability is sampled (see avail.Mode); event
+	// mode requires Procs that implement avail.Trajectory.
+	Mode avail.Mode
 	// Discipline selects FCFS or EASY dispatch.
 	Discipline Discipline
 	// Observer, when non-nil, is invoked after every slot with a reused
@@ -99,11 +103,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("batch: %d availability processes for %d processors",
 			len(c.Procs), c.Platform.P())
 	}
-	for i, p := range c.Procs {
-		if p == nil {
-			return fmt.Errorf("batch: nil availability process %d", i)
-		}
-	}
 	switch c.Discipline {
 	case FCFS, EASY:
 	default:
@@ -114,11 +113,9 @@ func (c *Config) validate() error {
 
 // Stats carries the resource counters of a batch run.
 type Stats struct {
-	// Kills counts jobs killed because their worker went DOWN.
+	// Kills counts jobs killed because their worker went DOWN; every
+	// killed job is requeued once.
 	Kills int
-	// Requeues counts killed jobs put back on the queue (always equal to
-	// Kills: every failure requeues exactly once).
-	Requeues int
 	// JobsDispatched counts job starts (first dispatch + re-dispatches).
 	JobsDispatched int
 	// Backfills is the subset of JobsDispatched that started via EASY
@@ -188,9 +185,9 @@ type queuedJob struct {
 	id   int
 }
 
-// workerState is the per-worker engine state.
+// workerState is the per-worker engine state (its availability is the
+// clock's State).
 type workerState struct {
-	state      avail.State
 	hasProgram bool
 	busy       bool
 	// Job fields, meaningful while busy.
@@ -233,6 +230,10 @@ type engine struct {
 	xfer []int
 	// report is the reused observer payload.
 	report SlotReport
+	// clock drives cfg.Procs; crash applies the changes it reports, and
+	// kills counts the jobs it killed this slot.
+	clock avail.Clock
+	kills int
 }
 
 // Run executes one batch run with a throwaway engine.
@@ -263,9 +264,14 @@ func (e *engine) run(cfg Config) (*Result, error) {
 	}
 	e.reset(cfg)
 	maxSlots := e.params.EffectiveMaxSlots()
+	if err := e.clock.Start(cfg.Procs, cfg.Mode, maxSlots); err != nil {
+		return nil, err
+	}
 	for e.slot = 0; e.slot < maxSlots; e.slot++ {
-		e.sample()
-		kills := e.killAndRequeue()
+		e.kills = 0
+		if err := e.clock.Advance(e.slot, e.crash); err != nil {
+			return nil, err
+		}
 		e.dispatch()
 		// Compute before transferring: progress reads the pre-transfer
 		// counters, so a slot spent receiving the last program/data unit is
@@ -274,7 +280,7 @@ func (e *engine) run(cfg Config) (*Result, error) {
 		e.progress()
 		transfers := e.allocateChannels()
 		if e.cfg.Observer != nil {
-			e.observe(transfers, kills)
+			e.observe(transfers)
 		}
 		if e.barrier() {
 			return e.result(true), nil
@@ -332,35 +338,24 @@ func (e *engine) popHead() {
 	}
 }
 
-// sample advances every worker's availability trajectory by one slot.
-func (e *engine) sample() {
-	for i := range e.workers {
-		e.workers[i].state = e.cfg.Procs[i].Next()
+// crash applies worker q's state change s from the clock. Going DOWN wipes
+// the worker's program copy and kills its job, whose task is resubmitted at
+// the queue tail (a batch resubmission: new arrival, new ID). Nothing is
+// ever dispatched onto an offline worker, so a worker that stays DOWN has
+// nothing more to lose.
+func (e *engine) crash(q int, s avail.State) {
+	if s != avail.Down {
+		return
 	}
-}
-
-// killAndRequeue kills the job of every DOWN worker and resubmits its task
-// at the queue tail (a batch resubmission: new arrival, new ID). DOWN also
-// wipes the worker's program copy. Returns the number of kills this slot.
-func (e *engine) killAndRequeue() int {
-	kills := 0
-	for i := range e.workers {
-		w := &e.workers[i]
-		if w.state != avail.Down {
-			continue
-		}
-		w.hasProgram = false
-		if !w.busy {
-			continue
-		}
-		task := w.task
-		w.busy = false
-		e.stats.Kills++
-		e.stats.Requeues++
-		e.enqueue(task)
-		kills++
+	w := &e.workers[q]
+	w.hasProgram = false
+	if !w.busy {
+		return
 	}
-	return kills
+	w.busy = false
+	e.stats.Kills++
+	e.kills++
+	e.enqueue(w.task)
 }
 
 // estService is the scheduler's optimistic service-time estimate for a job
@@ -387,7 +382,7 @@ func (e *engine) placeHead() (best int, bestFree int, ok bool) {
 		switch {
 		case w.busy:
 			free = w.estRemaining()
-		case w.state == avail.Up:
+		case e.clock.State(q) == avail.Up:
 			free = 0
 		default:
 			continue // idle offline worker: unschedulable until it returns
@@ -462,7 +457,7 @@ func (e *engine) backfill() {
 		best, bestEst := -1, math.MaxInt
 		for q := range e.workers {
 			w := &e.workers[q]
-			if w.busy || w.state != avail.Up {
+			if w.busy || e.clock.State(q) != avail.Up {
 				continue
 			}
 			if est := e.estService(q); est < bestEst {
@@ -486,7 +481,7 @@ func (e *engine) allocateChannels() int {
 	e.xfer = e.xfer[:0]
 	for q := range e.workers {
 		w := &e.workers[q]
-		if w.transferring() && w.state == avail.Up {
+		if w.transferring() && e.clock.State(q) == avail.Up {
 			e.xfer = append(e.xfer, q)
 		}
 	}
@@ -523,7 +518,7 @@ func (e *engine) progress() {
 		if !w.busy {
 			continue
 		}
-		if w.state != avail.Up {
+		if e.clock.State(q) != avail.Up {
 			e.stats.SuspendedSlots++
 			continue
 		}
@@ -557,7 +552,7 @@ func (e *engine) barrier() bool {
 }
 
 // observe fills and delivers the reused SlotReport.
-func (e *engine) observe(transfers, kills int) {
+func (e *engine) observe(transfers int) {
 	r := &e.report
 	r.Slot = e.slot
 	r.Iteration = e.iter
@@ -573,7 +568,7 @@ func (e *engine) observe(transfers, kills int) {
 	}
 	r.QueueLen = e.queueLen()
 	r.ActiveTransfers = transfers
-	r.Kills = kills
+	r.Kills = e.kills
 	e.cfg.Observer(r)
 }
 

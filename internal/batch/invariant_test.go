@@ -103,10 +103,6 @@ func runChecked(t *testing.T, seed uint64, d batch.Discipline) bool {
 	}
 	st := res.Stats
 
-	// A killed job is requeued exactly once per failure.
-	if st.Kills != st.Requeues {
-		chk.errorf("kills %d != requeues %d", st.Kills, st.Requeues)
-	}
 	// Every dispatch ends in a completion or a kill; censored runs may
 	// leave jobs running at the cap.
 	ends := st.TasksCompleted + st.Kills

@@ -9,6 +9,16 @@ import (
 	"repro/internal/platform"
 )
 
+// Mode selects how availability is sampled; the engine's clock is an
+// avail.Clock, so the mode is avail's.
+type Mode = avail.Mode
+
+// Sampling modes re-exported for engine configurations.
+const (
+	ModeSlot  = avail.ModeSlot
+	ModeEvent = avail.ModeEvent
+)
+
 // runCounter and epochCounter feed View.Run and View.Epoch/ProcEpochs with
 // process-wide unique, strictly increasing stamps. Global (rather than
 // per-engine) counters make the stamps collision-free even when a scheduler
@@ -64,11 +74,6 @@ func (c *Config) validate() error {
 	if len(c.Procs) != c.Platform.P() {
 		return fmt.Errorf("sim: %d availability processes for %d processors",
 			len(c.Procs), c.Platform.P())
-	}
-	for i, p := range c.Procs {
-		if p == nil {
-			return fmt.Errorf("sim: nil availability process %d", i)
-		}
 	}
 	if c.Scheduler == nil {
 		return fmt.Errorf("sim: nil scheduler")
@@ -174,15 +179,8 @@ type engine struct {
 	// maintained at the pipeline mutation sites so the scheduling round
 	// reads its n_active base in O(1) instead of recounting all P workers.
 	nBusy int
-	// trajs/samplers/pendState/evq implement the clock (eventclock.go):
-	// trajs are the per-worker trajectories (cfg.Procs themselves in event
-	// mode, the pooled samplers wrapping them in slot mode), pendState[i] is
-	// the state worker i enters at its queued transition slot, and evq is
-	// the (slot, worker) min-heap of pending transitions.
-	trajs     []trajectory
-	samplers  []slotSampler
-	pendState []avail.State
-	evq       transitionHeap
+	// clock drives cfg.Procs; applyState applies the changes it reports.
+	clock avail.Clock
 	// allocPending defers the allocation policy's first decision to the
 	// start of slot 0, after the slot's availability states are applied, so
 	// iteration 0 is sized from real worker states like every later one.
@@ -249,11 +247,16 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	}
 	e := &r.e
 	e.reset(cfg)
-	if err := e.initEventClock(); err != nil {
+	maxSlots := cfg.Params.EffectiveMaxSlots()
+	if err := e.clock.Start(cfg.Procs, cfg.Mode, maxSlots); err != nil {
 		return nil, err
 	}
-
-	maxSlots := cfg.Params.EffectiveMaxSlots()
+	for i, s := range e.states {
+		// reset left every worker DOWN; apply each slot-0 state that differs.
+		if next := e.clock.State(i); next != s {
+			e.applyState(i, next)
+		}
+	}
 	for e.slot = 0; e.slot < maxSlots; e.slot++ {
 		if err := e.step(); err != nil {
 			return nil, err
@@ -353,9 +356,6 @@ func (e *engine) reset(cfg Config) {
 	e.overlaid = false
 	e.finishers = e.finishers[:0]
 
-	e.trajs = e.trajs[:0]
-	e.evq.reset()
-
 	e.allocPending = cfg.Alloc != nil
 	e.iterStart = 0
 	e.iterTasks = e.iterTasks[:0]
@@ -433,7 +433,7 @@ func (e *engine) releaseCopy(c *copyState) {
 
 // step executes one time slot.
 func (e *engine) step() error {
-	if err := e.advanceStatesEvent(); err != nil {
+	if err := e.clock.Advance(e.slot, e.applyState); err != nil {
 		return err
 	}
 	if e.allocPending {
@@ -514,8 +514,8 @@ func (e *engine) reindexAvail(i int, was uint8) {
 }
 
 // applyState transitions worker i to next — which callers guarantee differs
-// from its current state — applying crash consequences. The clock
-// (eventclock.go) is its only caller.
+// from its current state — applying crash consequences. Its only callers
+// are Run's slot-0 priming and the clock's Advance.
 func (e *engine) applyState(i int, next avail.State) {
 	w := &e.workers[i]
 	was := e.availKey(i)

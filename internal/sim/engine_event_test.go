@@ -209,15 +209,15 @@ func TestEventModeRequiresTrajectory(t *testing.T) {
 // error listing valid names, and rejection of undefined Config modes.
 func TestParseMode(t *testing.T) {
 	for _, want := range []sim.Mode{sim.ModeSlot, sim.ModeEvent} {
-		got, err := sim.ParseMode(want.String())
+		got, err := avail.ParseMode(want.String())
 		if err != nil || got != want {
 			t.Fatalf("ParseMode(%q) = %v, %v; want %v", want.String(), got, err, want)
 		}
 	}
-	if names := sim.ModeNames(); !reflect.DeepEqual(names, []string{"slot", "event"}) {
+	if names := avail.ModeNames(); !reflect.DeepEqual(names, []string{"slot", "event"}) {
 		t.Fatalf("ModeNames() = %v", names)
 	}
-	_, err := sim.ParseMode("bogus")
+	_, err := avail.ParseMode("bogus")
 	if err == nil || !strings.Contains(err.Error(), "slot") || !strings.Contains(err.Error(), "event") {
 		t.Fatalf("ParseMode(bogus) error should list valid names, got %v", err)
 	}

@@ -70,25 +70,38 @@ func TestLegacyCheckpointsResume(t *testing.T) {
 	}
 }
 
-// TestSkippingEngineEventCheckpointRefused resumes an event-mode checkpoint
-// of a sweep with a random-family heuristic written by the engine that
-// skipped quiet spans (and with them the random family's Pick draws), a
-// committer crash after 3 of 6 chunks. Its chunks hold results the current
-// engine does not produce, so the resume must fail on the config digest
-// rather than splice them into the sweep.
+// TestSkippingEngineEventCheckpointRefused resumes event-mode checkpoints
+// whose chunks hold results the current engine does not produce, each a
+// committer crash after 3 of 6 chunks: one of a sweep with a random-family
+// heuristic, written by the engine that skipped quiet spans (and with them
+// the random family's Pick draws), and one of a comparison sweep, written
+// while the batch contenders sampled per slot on their own clock whatever
+// the Mode. Each resume must fail on the config digest rather than splice
+// stale chunks into the sweep.
 func TestSkippingEngineEventCheckpointRefused(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "skipping-engine-event-random.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "resume.ckpt")
-	if err := os.WriteFile(path, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := resumeTestConfig()
-	cfg.Mode = ModeEvent
-	cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "different sweep config") {
-		t.Fatalf("checkpoint of the skipping engine resumed: %v", err)
+	for _, c := range []struct {
+		file string
+		src  Source
+	}{
+		{"skipping-engine-event-random.ckpt", nil},
+		{"own-clock-batch-event-compare.ckpt", CompareSource{}},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			src, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "resume.ckpt")
+			if err := os.WriteFile(path, src, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := resumeTestConfig()
+			cfg.Mode = ModeEvent
+			cfg.Source = c.src
+			cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+			if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "different sweep config") {
+				t.Fatalf("stale event-mode checkpoint resumed: %v", err)
+			}
+		})
 	}
 }

@@ -50,7 +50,8 @@ type SweepConfig struct {
 	// iteration at the barrier from the availability the heuristic's own
 	// schedule encounters, and a cell's Tasks value is the application's
 	// natural shape. "fixed" reproduces the rigid results bit for bit but is
-	// a distinct sweep (its own config digest). Batch contenders ignore it.
+	// a distinct sweep (its own config digest). Batch contenders, whose jobs
+	// are rigid, ignore it.
 	Alloc string
 	// Source says where availability comes from and which contenders run
 	// besides the heuristics: nil draws Markov trajectories, TraceSource
@@ -213,6 +214,13 @@ func (cfg SweepConfig) planWith(heuristics []string) (*sweepPlan, error) {
 		// and keep their digest.
 		sp.extras = append(sp.extras, "clock steps every slot")
 	}
+	if cfg.Mode == ModeEvent && len(sp.disciplines) > 0 {
+		// Batch contenders used to sample per slot on their own clock in
+		// every mode; now they ride the sweep's clock, so their event-mode
+		// results moved. The tag keeps checkpoints and cached results of
+		// the own-clock batch engine from resuming or being served.
+		sp.extras = append(sp.extras, "batch rides the sweep clock")
+	}
 	return &sweepPlan{
 		sourcePlan: sp,
 		heuristics: heuristics,
@@ -241,10 +249,11 @@ type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stat
 // Runner and allocation-policy instance (stateful policies must not be
 // shared between goroutines; they reset at every run boundary, so pooling
 // one across the worker's runs changes nothing). Every contender of an
-// instance — each heuristic, then each batch discipline — faces the world
-// its trial seed denotes.
+// instance — each heuristic, then each batch discipline — runs through the
+// same run path on the world its trial seed denotes.
 func (p *sweepPlan) newWorker(cfg *SweepConfig) instanceRunner {
 	rn := NewRunner()
+	contenders := append(append([]string(nil), p.heuristics...), p.disciplines...)
 	var pol AllocationPolicy
 	var polErr error
 	if cfg.Alloc != "" {
@@ -270,27 +279,20 @@ func (p *sweepPlan) newWorker(cfg *SweepConfig) instanceRunner {
 			Alloc:     pol,
 		}
 		nCens := 0
-		record := func(name string, makespan int, completed bool) {
-			ir.Makespans[name] = makespan
-			if !completed {
-				ir.Censored[name] = true
-				nCens++
-			}
-		}
-		for _, h := range p.heuristics {
+		for i, h := range contenders {
 			spec.Heuristic = h
+			if i == len(p.heuristics) {
+				spec.Alloc = nil // the batch disciplines follow; their jobs are rigid
+			}
 			res, err := scn.run(spec, tm)
 			if err != nil {
 				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
 			}
-			record(h, res.Makespan, res.Completed)
-		}
-		for _, d := range p.disciplines {
-			res, err := scn.runBatch(rn, d, spec.TrialSeed)
-			if err != nil {
-				return 0, fmt.Errorf("volatile: %s on %s: %w", d, scn.inner.Name, err)
+			ir.Makespans[h] = res.Makespan
+			if !res.Completed {
+				ir.Censored[h] = true
+				nCens++
 			}
-			record(d, res.Makespan, res.Completed)
 		}
 		return nCens, nil
 	}

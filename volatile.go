@@ -125,22 +125,23 @@ func GreedyHeuristics() []string { return core.GreedyNames() }
 
 // Mode selects how availability is sampled: ModeSlot draws once per slot
 // (the reference semantics and the default), ModeEvent once per sojourn.
-// Both run on the same clock, which steps every slot. See the sim package
-// for the equivalence contract between the two.
-type Mode = sim.Mode
+// Both run on the same clock, which steps every slot, for the heuristics
+// and the batch disciplines alike. See avail.Mode for the equivalence
+// contract between the two.
+type Mode = avail.Mode
 
 // Sampling modes re-exported for mode selection.
 const (
-	ModeSlot  = sim.ModeSlot
-	ModeEvent = sim.ModeEvent
+	ModeSlot  = avail.ModeSlot
+	ModeEvent = avail.ModeEvent
 )
 
 // ParseMode parses a mode name ("slot" or "event"), failing with the list
 // of valid names.
-func ParseMode(s string) (Mode, error) { return sim.ParseMode(s) }
+func ParseMode(s string) (Mode, error) { return avail.ParseMode(s) }
 
 // ModeNames returns the valid mode names.
-func ModeNames() []string { return sim.ModeNames() }
+func ModeNames() []string { return avail.ModeNames() }
 
 // Event kinds re-exported for event-stream consumers.
 const (
@@ -315,7 +316,10 @@ func NewRunner() *Runner { return &Runner{} }
 // Heuristic has a usable zero value: trial seed 0, slot mode, a one-shot
 // engine, the rigid application, Markov-drawn availability, no callbacks.
 type RunSpec struct {
-	// Heuristic names the scheduling heuristic (see Heuristics).
+	// Heuristic names the scheduling heuristic (see Heuristics) or a batch
+	// discipline (BatchFCFS, BatchEASY). A batch run rides the same clock on
+	// the same trajectories; it rejects Alloc, Observer and OnEvent, and its
+	// result carries no Stats.
 	Heuristic string
 	// TrialSeed determines the availability trajectories and any heuristic
 	// randomness: the same (scenario, TrialSeed) pair confronts every
@@ -372,7 +376,8 @@ func (s *Scenario) RunWith(spec RunSpec) (*RunResult, error) {
 }
 
 // run executes one run, on the Markov trajectories the trial seed denotes
-// or, when tm is non-nil, on its replayed vectors and fitted models. A nil
+// or, when tm is non-nil, on its replayed vectors and fitted models; a
+// batch discipline name runs the batch engine on that world. A nil
 // Runner gets a one-shot one: the pooled path consumes the RNG exactly as
 // fresh construction would (Reseed mirrors New, TrialPool.Trial mirrors
 // Trial, SplitInto mirrors Split), so reuse never changes a result.
@@ -381,29 +386,54 @@ func (s *Scenario) run(spec RunSpec, tm *traceModels) (*RunResult, error) {
 	if r == nil {
 		r = NewRunner()
 	}
+	if d, ok := disciplines[spec.Heuristic]; ok {
+		// Batch jobs are rigid and the batch engine streams no slot reports
+		// or events: these are errors rather than silently ignored.
+		if spec.Alloc != nil || spec.Observer != nil || spec.OnEvent != nil {
+			return nil, fmt.Errorf("volatile: %s: batch runs take no Alloc, Observer or OnEvent", spec.Heuristic)
+		}
+		pl, procs := s.world(r, spec.TrialSeed, tm)
+		res, err := r.batch.Run(batch.Config{
+			Platform: pl, Params: s.inner.Params, Procs: procs, Mode: spec.Mode, Discipline: d,
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Batch-specific counters live in batch.Result and are not carried
+		// over: callers compare makespans uniformly.
+		return &RunResult{Completed: res.Completed, Makespan: res.Makespan, IterationEnds: res.IterationEnds}, nil
+	}
 	ps := r.pooled(spec.Heuristic)
-	cfg := sim.Config{
-		Platform: s.inner.Platform,
-		Params:   s.inner.Params,
-		Mode:     spec.Mode,
-		Observer: spec.Observer,
-		OnEvent:  spec.OnEvent,
-		Alloc:    spec.Alloc,
-	}
-	if tm != nil {
-		// Trace replay draws nothing, so the trial seed seeds the
-		// scheduler's stream directly.
-		ps.pcg.Reseed(spec.TrialSeed)
-		cfg.Platform, cfg.Procs = tm.platform, r.vectorProcs(tm.vectors)
-	} else {
-		r.trialRng.Reseed(spec.TrialSeed)
-		cfg.Procs = r.trials.Trial(s.inner, &r.trialRng)
-		r.trialRng.SplitInto(&ps.pcg)
-	}
 	sched, err := ps.instance(spec.Heuristic)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Scheduler = sched
+	cfg := sim.Config{
+		Params:    s.inner.Params,
+		Scheduler: sched,
+		Mode:      spec.Mode,
+		Observer:  spec.Observer,
+		OnEvent:   spec.OnEvent,
+		Alloc:     spec.Alloc,
+	}
+	cfg.Platform, cfg.Procs = s.world(r, spec.TrialSeed, tm)
+	if tm != nil {
+		// Trace replay draws nothing, so the trial seed seeds the
+		// scheduler's stream directly.
+		ps.pcg.Reseed(spec.TrialSeed)
+	} else {
+		r.trialRng.SplitInto(&ps.pcg)
+	}
 	return r.r.Run(cfg)
+}
+
+// world returns the platform and availability processes of one run: tm's
+// replayed vectors and fitted models when tm is non-nil, else the Markov
+// trajectories trialSeed denotes, drawn on r's trial generator.
+func (s *Scenario) world(r *Runner, trialSeed uint64, tm *traceModels) (*platform.Platform, []avail.Process) {
+	if tm != nil {
+		return tm.platform, r.vectorProcs(tm.vectors)
+	}
+	r.trialRng.Reseed(trialSeed)
+	return s.inner.Platform, r.trials.Trial(s.inner, &r.trialRng)
 }
